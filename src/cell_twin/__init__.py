@@ -16,7 +16,6 @@ from .utility import (
     ExpUtility,
     combined_utility,
     default_attribute_specs,
-    eval_utility,
     make_exp_utility,
     mtbc,
     total_ah,

@@ -17,7 +17,7 @@ from scipy.optimize import least_squares
 
 from .dataset import NormalizedTrace
 from .errors import InsufficientFade, NoFitsSucceeded
-from .model import PowerLawParams
+from .model import PowerLawParams, fade_q
 
 FADE_EPS = 1e-4       # points with q >= 1 - FADE_EPS carry no usable fade signal
 MIN_FIT_POINTS = 10
@@ -89,11 +89,11 @@ def fit_power_law(trace: NormalizedTrace, polish: bool = True) -> tuple[PowerLaw
     b, ln_a = np.linalg.lstsq(design * sw[:, None], y * sw, rcond=None)[0]
     if polish:
         def resid(p):
-            return (1.0 - np.exp(p[0] + p[1] * ln_k)) - q
+            return fade_q(p[0], p[1], ln_k) - q
 
         ln_a, b = least_squares(resid, [ln_a, b], method="lm").x
     params = PowerLawParams(a=float(np.exp(ln_a)), b=float(b))
-    q_hat = 1.0 - np.exp(ln_a + b * ln_k)
+    q_hat = fade_q(ln_a, b, ln_k)
     rmse = float(np.sqrt(np.mean((q_hat - q) ** 2)))
     return params, rmse
 

@@ -15,7 +15,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,12 +60,8 @@ def load_config(path, seed_override: int | None = None, out_override: str | None
 
     try:
         fraw = dict(raw.get("filter", {}))
-        noise = NoiseSpec(
-            sigma_meas=fraw.pop("sigma_meas", 0.01),
-            sigma_log_a=fraw.pop("sigma_log_a", 0.05),
-            sigma_b=fraw.pop("sigma_b", 0.05),
-        )
-        fcfg = filtering.FilterConfig(noise=noise, seed=raw.get("seed", 0), **fraw)
+        sigmas = {k: fraw.pop(k) for k in ("sigma_meas", "sigma_log_a", "sigma_b") if k in fraw}
+        fcfg = filtering.FilterConfig(noise=NoiseSpec(**sigmas), seed=raw.get("seed", 0), **fraw)
         specs = []
         for u in raw.get("utilities", []):
             specs.append(
@@ -104,16 +100,7 @@ def load_config(path, seed_override: int | None = None, out_override: str | None
 
     if seed_override is not None:
         cfg.seed = seed_override
-        cfg.filter = filtering.FilterConfig(
-            n_particles=cfg.filter.n_particles,
-            noise=cfg.filter.noise,
-            init_log10_a=cfg.filter.init_log10_a,
-            init_b=cfg.filter.init_b,
-            init_spread_log10_a=cfg.filter.init_spread_log10_a,
-            init_spread_b=cfg.filter.init_spread_b,
-            resample_threshold=cfg.filter.resample_threshold,
-            seed=seed_override,
-        )
+        cfg.filter = replace(cfg.filter, seed=seed_override)
     for bad, name in [(cfg.trigger, "trigger"), (cfg.eol, "eol"), (cfg.retire_floor, "retire_floor")]:
         if not 0.0 < bad < 1.0:
             raise ConfigError(f"threshold {name} must be in (0, 1), got {bad}")
@@ -171,22 +158,11 @@ def load_traces(cfg: RunConfig) -> dict[str, tuple[dataset.Split, dataset.Normal
 
 
 def init_filter_config(cfg: RunConfig, seed: int) -> filtering.FilterConfig:
-    f = cfg.filter
-    init_la, init_b = f.init_log10_a, f.init_b
     fit_path = cfg.output_dir / "fleet_fit.json"
-    if fit_path.exists():
-        fit = calib.FleetFit.from_json(fit_path.read_text(encoding="utf-8"))
-        init_la, init_b = fit.median_log10_a, fit.median_b
-    return filtering.FilterConfig(
-        n_particles=f.n_particles,
-        noise=f.noise,
-        init_log10_a=init_la,
-        init_b=init_b,
-        init_spread_log10_a=f.init_spread_log10_a,
-        init_spread_b=f.init_spread_b,
-        resample_threshold=f.resample_threshold,
-        seed=seed,
-    )
+    if not fit_path.exists():
+        return replace(cfg.filter, seed=seed)
+    fit = calib.FleetFit.from_json(fit_path.read_text(encoding="utf-8"))
+    return replace(cfg.filter, init_log10_a=fit.median_log10_a, init_b=fit.median_b, seed=seed)
 
 
 def prediction_schedule(cfg: RunConfig, trace: dataset.NormalizedTrace) -> list[int]:

@@ -25,8 +25,6 @@ from .errors import (
 
 CSV_COLUMNS = ["cell_id", "split", "cycle", "discharge_capacity_ah", "nominal_capacity_ah"]
 
-_SPLIT_NAMES = {"train": "train", "test1": "test1", "test2": "test2"}
-
 
 class Split(enum.Enum):
     TRAIN = "train"
@@ -41,7 +39,7 @@ class CellRecord:
     cell_id: str
     split: Split
     cycles: np.ndarray          # int, strictly increasing, starts at >= 1
-    capacity_ah: np.ndarray     # float, strictly positive, same length
+    capacity_ah: np.ndarray     # float, finite and strictly positive, same length
     nominal_capacity_ah: float
     extrapolated_from: int | None = None
 
@@ -52,8 +50,8 @@ class CellRecord:
             raise ValueError(f"{self.cell_id}: cycles/capacity length mismatch or empty")
         if np.any(np.diff(cycles) <= 0):
             raise NonMonotoneCycles(f"{self.cell_id}: cycles not strictly increasing")
-        if np.any(caps <= 0):
-            raise ValueError(f"{self.cell_id}: non-positive capacity")
+        if not np.all(np.isfinite(caps) & (caps > 0)):
+            raise MalformedRow(f"{self.cell_id}: capacity must be finite and positive")
         object.__setattr__(self, "cycles", cycles)
         object.__setattr__(self, "capacity_ah", caps)
 
@@ -125,6 +123,7 @@ def load_cells(path, split_manifest: dict | None = None) -> list[CellRecord]:
     discharge_capacity_ah,nominal_capacity_ah``.  A separate manifest
     mapping cell_id -> split overrides / supplies the split column.
     """
+    split_names = {s.value for s in Split}
     rows_by_cell: dict[str, list[tuple[int, float, float]]] = {}
     split_by_cell: dict[str, str] = {}
     with open(path, newline="", encoding="utf-8") as f:
@@ -151,7 +150,7 @@ def load_cells(path, split_manifest: dict | None = None) -> list[CellRecord]:
                 split_name = split_manifest[cell_id]
             else:
                 split_name = row[1].strip()
-            if split_name not in _SPLIT_NAMES:
+            if split_name not in split_names:
                 raise MalformedRow(f"{path}:{lineno}: unknown split {split_name!r}")
             prev = split_by_cell.setdefault(cell_id, split_name)
             if prev != split_name:

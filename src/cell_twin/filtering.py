@@ -18,10 +18,7 @@ import numpy as np
 
 from .dataset import NormalizedTrace
 from .errors import DegenerateWeights
-from .model import NoiseSpec, PowerLawParams
-
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_LN10 = math.log(10.0)
+from .model import _LN10, NoiseSpec, PowerLawParams, fade_q, gaussian_log_lik
 
 
 @dataclass(frozen=True)
@@ -69,19 +66,6 @@ class ParticleEnsemble:
 
     def ess(self) -> float:
         return 1.0 / float(np.sum(self.weights ** 2))
-
-    def copy(self) -> "ParticleEnsemble":
-        rng = np.random.Generator(np.random.PCG64())
-        rng.bit_generator.state = self.rng.bit_generator.state
-        return ParticleEnsemble(
-            log10_a=self.log10_a.copy(),
-            b=self.b.copy(),
-            weights=self.weights.copy(),
-            last_cycle=self.last_cycle,
-            rng=rng,
-            resample_threshold=self.resample_threshold,
-            seed=self.seed,
-        )
 
     def to_json(self) -> str:
         return json.dumps(
@@ -158,12 +142,8 @@ def step(ens: ParticleEnsemble, k: int, q_obs: float, noise: NoiseSpec) -> Parti
     # update: Gaussian likelihood of q_obs, combined in log space; runaway
     # particles overflow to -inf log-likelihood, which is the intended value
     with np.errstate(over="ignore"):
-        q_pred = 1.0 - np.exp(_LN10 * ens.log10_a + ens.b * math.log(k))
-        log_lik = (
-            -0.5 * ((q_obs - q_pred) / noise.sigma_meas) ** 2
-            - math.log(noise.sigma_meas)
-            - _LOG_SQRT_2PI
-        )
+        q_pred = fade_q(_LN10 * ens.log10_a, ens.b, math.log(k))
+        log_lik = gaussian_log_lik(q_obs - q_pred, noise.sigma_meas)
     with np.errstate(divide="ignore"):  # zero weights map cleanly to -inf
         log_w = np.log(ens.weights) + log_lik
     m = np.max(log_w)

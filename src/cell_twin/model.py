@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ZeroFadeCoefficient
 
+_LN10 = math.log(10.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -50,6 +51,26 @@ class NoiseSpec:
             raise ValueError("all noise scales must be strictly positive")
 
 
+def fade_q(ln_a, b, ln_k):
+    """Normalized capacity 1 - exp(ln_a + b*ln_k); broadcasts over arrays.
+
+    Every layer evaluates the fade curve through this kernel.  Callers pass
+    ln a as they hold it (ln10 * log10 a, a fitted ln a, or log a); the
+    kernel converts nothing, so each caller's rounding is its own.
+    """
+    return 1.0 - np.exp(ln_a + b * ln_k)
+
+
+def eol_cycles(ln_a, b, threshold: float):
+    """Real-valued cycle where the fade curve crosses `threshold`: ((1-t)/a)**(1/b)."""
+    return np.exp((math.log(1.0 - threshold) - ln_a) / b)
+
+
+def gaussian_log_lik(resid, sigma: float):
+    """Log N(resid; 0, sigma**2); broadcasts over `resid`."""
+    return -0.5 * (resid / sigma) ** 2 - math.log(sigma) - _LOG_SQRT_2PI
+
+
 def capacity(params: PowerLawParams, k) -> float | np.ndarray:
     """Predicted normalized capacity 1 - a*k**b at cycle k (k >= 1).
 
@@ -57,8 +78,7 @@ def capacity(params: PowerLawParams, k) -> float | np.ndarray:
     """
     if params.a == 0.0:
         return np.ones_like(np.asarray(k, dtype=float)) if np.ndim(k) else 1.0
-    fade = np.exp(math.log(params.a) + params.b * np.log(np.asarray(k, dtype=float)))
-    result = 1.0 - fade
+    result = fade_q(math.log(params.a), params.b, np.log(np.asarray(k, dtype=float)))
     return result if np.ndim(k) else float(result)
 
 
@@ -68,12 +88,11 @@ def analytic_eol(params: PowerLawParams, threshold: float) -> float:
         raise ZeroFadeCoefficient("zero fade coefficient has no finite end of life")
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
-    return math.exp((math.log(1.0 - threshold) - math.log(params.a)) / params.b)
+    return float(eol_cycles(math.log(params.a), params.b, threshold))
 
 
 def log_likelihood(params: PowerLawParams, k: int, q_obs: float, sigma_meas: float) -> float:
     """Log Gaussian density of q_obs around the model prediction at cycle k."""
     if sigma_meas <= 0:
         raise ValueError("sigma_meas must be positive")
-    resid = q_obs - capacity(params, k)
-    return -0.5 * (resid / sigma_meas) ** 2 - math.log(sigma_meas) - _LOG_SQRT_2PI
+    return gaussian_log_lik(q_obs - capacity(params, k), sigma_meas)

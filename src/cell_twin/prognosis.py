@@ -14,17 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filtering import ParticleEnsemble
-
-_LN10 = math.log(10.0)
-
-
-def weighted_quantile(values: np.ndarray, weights: np.ndarray, level: float) -> float:
-    """Lower weighted quantile: smallest value with cumulative weight >= level."""
-    order = np.argsort(values, kind="stable")
-    cum = np.cumsum(weights[order])
-    idx = int(np.searchsorted(cum, level, side="left"))
-    idx = min(idx, len(values) - 1)
-    return float(values[order][idx])
+from .model import _LN10, eol_cycles, fade_q
 
 
 @dataclass(frozen=True)
@@ -61,7 +51,10 @@ class RulPrediction:
 
 
 class EolDistribution:
-    """Weighted empirical distribution over per-particle end-of-life cycles."""
+    """Weighted empirical distribution over per-particle end-of-life cycles.
+
+    Also serves RUL and any other per-particle value; weights sum to 1.
+    """
 
     def __init__(self, eols: np.ndarray, weights: np.ndarray):
         order = np.argsort(eols, kind="stable")
@@ -82,6 +75,14 @@ class EolDistribution:
         return float(self.eols[idx])
 
 
+def weighted_quantile(values: np.ndarray, weights: np.ndarray, level: float) -> float:
+    """Lower weighted quantile: smallest value with cumulative weight >= level.
+
+    `weights` must sum to 1 (see `EolDistribution`).
+    """
+    return EolDistribution(values, weights).quantile(level)
+
+
 def project(
     ens: ParticleEnsemble,
     from_cycle: int,
@@ -95,14 +96,14 @@ def project(
     """
     if from_cycle < ens.last_cycle:
         raise ValueError("cannot project from before the last assimilated cycle")
-    log_fade_coef = _LN10 * ens.log10_a                      # ln a per particle
-    eols = np.exp((math.log(1.0 - eol_threshold) - log_fade_coef) / ens.b)
+    ln_a = _LN10 * ens.log10_a
+    eols = eol_cycles(ln_a, ens.b, eol_threshold)
     horizon = int(math.ceil(weighted_quantile(eols, ens.weights, 0.99)))
     horizon = max(horizon, from_cycle)
 
     cycles = np.arange(from_cycle, horizon + 1)
     # (n_particles, n_cycles) trajectory matrix, frozen parameters
-    traj = 1.0 - np.exp(log_fade_coef[:, None] + np.outer(ens.b, np.log(cycles)))
+    traj = fade_q(ln_a[:, None], ens.b[:, None], np.log(cycles))
 
     order = np.argsort(traj, axis=0, kind="stable")
     sorted_traj = np.take_along_axis(traj, order, axis=0)
@@ -139,11 +140,10 @@ def rul(
     quantiles: tuple[float, ...] = (0.05, 0.95),
 ) -> RulPrediction:
     """Remaining useful life distribution at `at_cycle`, clamped at zero."""
-    ruls = np.maximum(proj.per_particle_eol - at_cycle, 0.0)
-    w = proj.eol_weights
+    dist = EolDistribution(np.maximum(proj.per_particle_eol - at_cycle, 0.0), proj.eol_weights)
     return RulPrediction(
         at_cycle=at_cycle,
-        rul_median=weighted_quantile(ruls, w, 0.5),
-        rul_quantiles={lvl: weighted_quantile(ruls, w, lvl) for lvl in quantiles},
+        rul_median=dist.quantile(0.5),
+        rul_quantiles={lvl: dist.quantile(lvl) for lvl in quantiles},
         eol_threshold=proj.eol_threshold,
     )

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import NormalizedTrace
-from .errors import EmptyCandidateSet, IncompleteTrajectory, NotTriggered
+from .errors import EmptyCandidateSet, IncompleteTrajectory, LengthMismatch, NotTriggered
 from .filtering import ParticleEnsemble
 from .prognosis import CapacityProjection, project
-from .utility import Attribute, AttributeSpec, mtbc, total_ah
+from .utility import Attribute, AttributeSpec, combined_utility, mtbc
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,8 @@ def optimize_retirement(
     proj: CapacityProjection | None = None,
 ) -> RetirementDecision:
     """Exhaustively evaluate the combined utility over candidate retirement cycles."""
+    if not specs:
+        raise LengthMismatch("no attribute specs to combine")
     idx = np.flatnonzero(trace.cycles == current)
     if len(idx) == 0:
         raise IncompleteTrajectory(f"{trace.cell_id}: no measurement at cycle {current}")
@@ -112,32 +114,31 @@ def optimize_retirement(
     q = _hybrid_trajectory(trace, proj, current)
     cum_ah = np.cumsum(q) * trace.q0_ah
 
-    curve = []
-    best = None
-    for x in candidates:
-        raw = {}
-        phi = {}
-        lam = 0.0
-        for s in specs:
-            if s.extractor is Attribute.TOTAL_AH:
-                v = float(cum_ah[x - 1])
-            elif s.extractor is Attribute.MEAN_TIME_BETWEEN_CHARGES:
-                v = mtbc(float(q[x - 1]), discharge_rate_c)
-            else:
-                raise ValueError(f"unknown extractor {s.extractor!r}")
-            u = float(s.utility.value(v))
-            raw[s.name] = v
-            phi[s.name] = u
-            lam += s.weight * u
-        curve.append(UtilityPoint(cycle=int(x), combined=lam, phi=phi, raw=raw))
-        if best is None or lam > best.combined:
-            best = curve[-1]
+    raws = [
+        cum_ah[candidates - 1] if s.extractor is Attribute.TOTAL_AH
+        else mtbc(q[candidates - 1], discharge_rate_c)
+        for s in specs
+    ]
+    phis = [s.utility.value(v) for s, v in zip(specs, raws)]
+    combined = combined_utility(specs, raws)
+    best = int(np.argmax(combined))  # first maximum: the earliest cycle wins ties
+
+    names = [s.name for s in specs]
+    curve = [
+        UtilityPoint(cycle=x, combined=lam, phi=dict(zip(names, phi)), raw=dict(zip(names, raw)))
+        for x, lam, phi, raw in zip(
+            candidates.tolist(),
+            combined.tolist(),
+            zip(*(v.tolist() for v in phis)),
+            zip(*(v.tolist() for v in raws)),
+        )
+    ]
 
     return RetirementDecision(
         current_cycle=current,
         candidates=candidates,
         utility_curve=curve,
-        optimal_cycle=best.cycle,
-        optimal_utility=best.combined,
+        optimal_cycle=curve[best].cycle,
+        optimal_utility=curve[best].combined,
         truncated_at_horizon=truncated,
     )

@@ -12,6 +12,8 @@ import csv
 
 import numpy as np
 
+from .model import _LN10, fade_q
+
 FLEET_MEDIAN_LOG10_A = -15.77
 FLEET_MEDIAN_B = 5.45
 
@@ -33,7 +35,7 @@ def synth_trace(
     `rise_depth`, mimicking LFP break-in.
     """
     k = np.arange(1, max_cycles + 1, dtype=float)
-    q = 1.0 - np.exp(np.log(10.0) * log10_a + b * np.log(k))
+    q = fade_q(_LN10 * log10_a, b, np.log(k))
     if rise_cycles > 0:
         q = q + np.where(k < rise_cycles, -rise_depth * (1.0 - k / rise_cycles), 0.0)
     if noise_std > 0:

@@ -63,10 +63,6 @@ def make_exp_utility(l_u: float, h_u: float, r: float, clamp: bool = True) -> Ex
     )
 
 
-def eval_utility(u: ExpUtility, v) -> float | np.ndarray:
-    return u.value(v)
-
-
 def total_ah(trace_q: np.ndarray, q0_ah: float, x_c: int) -> float:
     """Cumulative discharge throughput over cycles 1..x_c, in ampere-hours.
 
@@ -93,11 +89,16 @@ def mtbc(q_at_xc: float, discharge_rate_c: float = 4.0) -> float:
     return q_at_xc / discharge_rate_c
 
 
-def combined_utility(specs: list[AttributeSpec], values: list[float]) -> float:
-    """Weighted sum of per-attribute utilities (equal weights = plain average)."""
+def combined_utility(specs: list[AttributeSpec], values: list) -> float | np.ndarray:
+    """Weighted sum of per-attribute utilities (equal weights = plain average).
+
+    `values` holds one attribute value, or one array of candidate values,
+    per spec; arrays give the combined utility per candidate.
+    """
     if len(specs) != len(values):
         raise LengthMismatch(f"{len(specs)} specs vs {len(values)} values")
-    return float(sum(s.weight * s.utility.value(v) for s, v in zip(specs, values)))
+    total = sum(s.weight * s.utility.value(v) for s, v in zip(specs, values))
+    return total if np.ndim(total) else float(total)
 
 
 def default_attribute_specs(discharge_rate_c: float = 4.0) -> list[AttributeSpec]:

@@ -56,6 +56,19 @@ class TestIngest:
         assert main(["ingest", "--config", str(path)]) == 2
         assert "nope.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "0"])
+    def test_bad_capacity_data_error(self, tmp_path, capsys, bad):
+        cfg, out = make_config(tmp_path)
+        data = tmp_path / "fleet.csv"
+        lines = data.read_text().splitlines()
+        row = lines[5].split(",")
+        row[3] = bad
+        lines[5] = ",".join(row)
+        data.write_text("\n".join(lines) + "\n")
+        assert run("ingest", cfg) == 3
+        assert "capacity must be finite and positive" in capsys.readouterr().err
+        assert not (out / "cells").exists()
+
     def test_bad_threshold_config_error(self, tmp_path):
         cfg, _ = make_config(tmp_path, out_name="badth", thresholds={"trigger": 1.5})
         assert run("ingest", cfg) == 2

@@ -2,10 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cell_twin import NoiseSpec, PowerLawParams, analytic_eol, capacity, log_likelihood
 from cell_twin.errors import ZeroFadeCoefficient
+from cell_twin.model import eol_cycles, fade_q
+
+log10_as = st.floats(-20.0, -3.0)
+bs = st.floats(0.5, 8.0)
+thresholds = st.floats(0.05, 0.95)
 
 
 class TestCapacity:
@@ -92,3 +99,22 @@ class TestNoiseSpec:
             NoiseSpec(sigma_meas=0.0)
         with pytest.raises(ValueError):
             NoiseSpec(sigma_log_a=-1.0)
+
+
+class TestKernels:
+    @given(log10_as, bs, st.integers(1, 5000))
+    def test_capacity_is_fade_q(self, log10_a, b, k):
+        p = PowerLawParams.from_log10(log10_a, b)
+        ks = np.arange(1, k + 1, dtype=float)
+        assert capacity(p, k) == float(fade_q(math.log(p.a), b, np.log(float(k))))
+        assert np.array_equal(capacity(p, ks), fade_q(math.log(p.a), b, np.log(ks)))
+
+    @given(log10_as, bs, thresholds)
+    def test_analytic_eol_is_eol_cycles(self, log10_a, b, t):
+        p = PowerLawParams.from_log10(log10_a, b)
+        assert analytic_eol(p, t) == float(eol_cycles(math.log(p.a), b, t))
+
+    @given(log10_as, bs, thresholds)
+    def test_fade_q_inverts_eol_cycles(self, log10_a, b, t):
+        ln_a = log10_a * math.log(10.0)
+        assert fade_q(ln_a, b, math.log(eol_cycles(ln_a, b, t))) == pytest.approx(t, abs=1e-9)

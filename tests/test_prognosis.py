@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cell_twin import FilterConfig, analytic_eol, capacity, eol_distribution, init, project, rul
 from cell_twin.filtering import ParticleEnsemble
 from cell_twin.prognosis import weighted_quantile
+
+finite_values = st.one_of(st.integers(-5, 5).map(float), st.floats(-1e6, 1e6))
 
 
 def make_ensemble(log10_as, bs, weights=None, last_cycle=0):
@@ -39,6 +43,26 @@ class TestWeightedQuantile:
                 if cum >= lvl - 1e-12:
                     assert got == v[i]
                     break
+
+    @given(
+        st.lists(st.tuples(finite_values, st.integers(1, 10)), min_size=1, max_size=30),
+        finite_values,
+        st.data(),
+    )
+    def test_equals_brute_force_lower_quantile(self, pairs, last_value, data):
+        values = [v for v, _ in pairs] + [last_value]
+        counts = [c for _, c in pairs]
+        # a power-of-two total makes every weight and cumulative weight exact,
+        # so levels can sit on a step as well as between steps
+        total = 1 << sum(counts).bit_length()
+        counts.append(total - sum(counts))
+        m = data.draw(st.integers(1, 2 * total))
+        expect = next(
+            v for v in sorted(set(values))
+            if 2 * sum(c for x, c in zip(values, counts) if x <= v) >= m
+        )
+        got = weighted_quantile(np.array(values), np.array(counts) / total, m / (2 * total))
+        assert got == expect
 
 
 class TestProject:

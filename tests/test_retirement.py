@@ -9,8 +9,9 @@ from cell_twin import (
     optimize_retirement,
     project,
 )
-from cell_twin.errors import EmptyCandidateSet, NotTriggered
-from cell_twin.utility import Attribute
+from cell_twin.errors import EmptyCandidateSet, LengthMismatch, NotTriggered
+from cell_twin.retirement import UtilityPoint, _hybrid_trajectory
+from cell_twin.utility import Attribute, mtbc
 from test_prognosis import make_ensemble
 
 
@@ -35,6 +36,32 @@ def specs_for(l_ah, h_ah, r_ah=200.0, l_mtbc=0.21, h_mtbc=0.25, r_mtbc=0.015):
         AttributeSpec("ah", make_exp_utility(l_ah, h_ah, r_ah), Attribute.TOTAL_AH, 0.5),
         AttributeSpec("mtbc", make_exp_utility(l_mtbc, h_mtbc, r_mtbc), Attribute.MEAN_TIME_BETWEEN_CHARGES, 0.5),
     ]
+
+
+def reference_scan(trace, proj, specs, current, floor, discharge_rate_c):
+    """Per-candidate scalar scan: (utility curve, best point), earliest tie wins."""
+    candidates, _ = candidate_cycles(current, proj, floor)
+    q = _hybrid_trajectory(trace, proj, current)
+    cum_ah = np.cumsum(q) * trace.q0_ah
+    curve = []
+    best = None
+    for x in candidates:
+        raw = {}
+        phi = {}
+        lam = 0.0
+        for s in specs:
+            if s.extractor is Attribute.TOTAL_AH:
+                v = float(cum_ah[x - 1])
+            else:
+                v = mtbc(float(q[x - 1]), discharge_rate_c)
+            u = float(s.utility.value(v))
+            raw[s.name] = v
+            phi[s.name] = u
+            lam += s.weight * u
+        curve.append(UtilityPoint(cycle=int(x), combined=lam, phi=phi, raw=raw))
+        if best is None or lam > best.combined:
+            best = curve[-1]
+    return curve, best
 
 
 class TestCandidateCycles:
@@ -76,6 +103,12 @@ class TestOptimizeRetirement:
         ens = make_ensemble([-15.77], [5.45], last_cycle=10)
         with pytest.raises(NotTriggered):
             optimize_retirement(trace, ens, specs_for(300, 1000), current=10)
+
+    def test_no_specs_rejected(self):
+        trace = fading_trace()
+        ens = make_ensemble([-15.77], [5.45], last_cycle=300)
+        with pytest.raises(LengthMismatch):
+            optimize_retirement(trace, ens, [], current=300)
 
     def test_ah_saturated_retires_earliest(self):
         # throughput utility pinned at 1 for every candidate: optimum = current
@@ -146,3 +179,33 @@ class TestOptimizeRetirement:
             trace, ens, specs_for(l_ah=0.5 * ah_at_knee, h_ah=3.0 * ah_at_knee), current=current
         )
         assert decision.optimal_cycle >= knee
+
+
+class TestMatchesScalarReference:
+    GRIDS = {
+        "interior": specs_for(200, 500),
+        "case_study": specs_for(300, 1000),
+        "ah_saturated": specs_for(l_ah=1.0, h_ah=2.0),
+        "mtbc_saturated": specs_for(l_ah=300, h_ah=5000, l_mtbc=0.0001, h_mtbc=0.001),
+        "all_tied": specs_for(l_ah=1.0, h_ah=2.0, l_mtbc=0.0001, h_mtbc=0.001),
+        "uneven_three": [
+            AttributeSpec("ah", make_exp_utility(150, 400, 80), Attribute.TOTAL_AH, 0.2),
+            AttributeSpec("mtbc", make_exp_utility(0.2, 0.25, 0.01), Attribute.MEAN_TIME_BETWEEN_CHARGES, 0.5),
+            AttributeSpec("ah_wide", make_exp_utility(100, 900, 400, clamp=False), Attribute.TOTAL_AH, 0.3),
+        ],
+    }
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("current,rate", [(300, 4.0), (330, 2.5)])
+    def test_exactly_equal(self, grid, current, rate):
+        trace = fading_trace()
+        ens = make_ensemble([-15.77, -15.5, -16.0], [5.45, 5.2, 5.7], last_cycle=current)
+        proj = project(ens, current, 0.5)
+        specs = self.GRIDS[grid]
+        decision = optimize_retirement(
+            trace, ens, specs, current=current, retire_floor=0.5, discharge_rate_c=rate, proj=proj
+        )
+        curve, best = reference_scan(trace, proj, specs, current, 0.5, rate)
+        assert decision.utility_curve == curve  # cycle, combined, phi and raw, exactly
+        assert decision.optimal_cycle == best.cycle
+        assert decision.optimal_utility == best.combined

@@ -5,7 +5,6 @@ from cell_twin import (
     AttributeSpec,
     combined_utility,
     default_attribute_specs,
-    eval_utility,
     make_exp_utility,
     mtbc,
     total_ah,
@@ -51,26 +50,26 @@ class TestMakeExpUtility:
 class TestEvalUtility:
     def test_throughput_at_650(self):
         u = make_exp_utility(300, 1000, 200)
-        assert eval_utility(u, 650) == pytest.approx(0.852, abs=1e-3)
+        assert u.value(650) == pytest.approx(0.852, abs=1e-3)
 
     def test_mtbc_at_023(self):
         u = make_exp_utility(0.21, 0.25, 0.015)
-        assert eval_utility(u, 0.23) == pytest.approx(0.791, abs=1e-3)
+        assert u.value(0.23) == pytest.approx(0.791, abs=1e-3)
 
     def test_clamped_above_upper(self):
         u = make_exp_utility(300, 1000, 200)
-        assert eval_utility(u, 2000) == pytest.approx(1.0, abs=1e-12)
-        assert eval_utility(u, 100) == pytest.approx(0.0, abs=1e-12)
+        assert u.value(2000) == pytest.approx(1.0, abs=1e-12)
+        assert u.value(100) == pytest.approx(0.0, abs=1e-12)
 
     def test_monotone(self):
         u = make_exp_utility(0.21, 0.25, 0.015)
         grid = np.linspace(0.15, 0.30, 200)
-        vals = np.array([eval_utility(u, v) for v in grid])
+        vals = np.array([u.value(v) for v in grid])
         assert np.all(np.diff(vals) >= 0)
 
     def test_unclamped_exceeds_one(self):
         u = make_exp_utility(300, 1000, 200, clamp=False)
-        assert eval_utility(u, 1e6) == pytest.approx(u.sigma_coef)
+        assert u.value(1e6) == pytest.approx(u.sigma_coef)
 
 
 class TestTotalAh:

@@ -104,6 +104,8 @@ def load_config(path, seed_override: int | None = None, out_override: str | None
     for bad, name in [(cfg.trigger, "trigger"), (cfg.eol, "eol"), (cfg.retire_floor, "retire_floor")]:
         if not 0.0 < bad < 1.0:
             raise ConfigError(f"threshold {name} must be in (0, 1), got {bad}")
+    if not isinstance(cfg.trigger_persist, int):
+        raise ConfigError(f"trigger_persist must be an integer, got {cfg.trigger_persist!r}")
     if cfg.schedule_cycles is not None and np.any(np.diff(cfg.schedule_cycles) <= 0):
         raise ConfigError("schedule cycles must be strictly increasing")
     if not cfg.dataset.exists():
@@ -148,12 +150,15 @@ def cell_seed(base_seed: int, cell_id: str) -> int:
 
 def load_traces(cfg: RunConfig) -> dict[str, tuple[dataset.Split, dataset.NormalizedTrace]]:
     out = {}
-    with open(cfg.output_dir / "manifest.json", encoding="utf-8") as f:
-        manifest = json.load(f)
-    for cell_id, split_name in sorted(manifest.items()):
-        with open(cfg.output_dir / "cells" / f"{cell_id}.json", encoding="utf-8") as f:
-            trace = dataset.NormalizedTrace.from_json_dict(json.load(f))
-        out[cell_id] = (dataset.Split(split_name), trace)
+    path = cfg.output_dir / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        for cell_id, split_name in sorted(manifest.items()):
+            path = cfg.output_dir / "cells" / f"{cell_id}.json"
+            trace = dataset.NormalizedTrace.from_json_dict(json.loads(path.read_text(encoding="utf-8")))
+            out[cell_id] = (dataset.Split(split_name), trace)
+    except (AttributeError, KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
+        raise DataError(f"{path}: corrupted ({type(e).__name__}: {e})") from None
     return out
 
 
@@ -179,12 +184,12 @@ def prediction_schedule(cfg: RunConfig, trace: dataset.NormalizedTrace) -> list[
 def cmd_ingest(cfg: RunConfig, extend: bool = True) -> int:
     manifest = dataset.load_split_manifest(cfg.split_manifest) if cfg.split_manifest else None
     cells = dataset.load_cells(cfg.dataset, manifest)
+    traces = [dataset.normalize(cell, cfg.normalize_window) for cell in cells]
+    if extend:  # every cell is checked before the first file is written
+        traces = [dataset.extend_linear(t, cfg.extend_tail, cfg.extend_floor) for t in traces]
     counts = {}
     split_map = {}
-    for cell in cells:
-        trace = dataset.normalize(cell, cfg.normalize_window)
-        if extend:
-            trace = dataset.extend_linear(trace, cfg.extend_tail, cfg.extend_floor)
+    for cell, trace in zip(cells, traces):
         atomic_write_text(
             cfg.output_dir / "cells" / f"{cell.cell_id}.json",
             json.dumps(trace.to_json_dict()),
@@ -218,7 +223,8 @@ def _simulate_cell(cfg: RunConfig, cell_id: str, trace: dataset.NormalizedTrace)
     for k in schedule:
         filtering.assimilate(ens, trace, k, fcfg.noise)
         proj = prognosis.project(ens, from_cycle=k, eol_threshold=cfg.eol)
-        write_csv(sim_dir / f"projection_{k:06d}.csv", ["cycle", "median_q", "q05", "q95"], proj.export_csv_rows())
+        rows = zip(proj.cycles, proj.median_q, proj.q05, proj.q95)
+        write_csv(sim_dir / f"projection_{k:06d}.csv", ["cycle", "median_q", "q05", "q95"], rows)
         write_csv(
             sim_dir / f"eol_{k:06d}.csv",
             ["eol_cycle", "weight"],

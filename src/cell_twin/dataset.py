@@ -23,6 +23,8 @@ from .errors import (
     UnknownCell,
 )
 
+MAX_EXTENSION = 10  # x the last measured cycle; synthetic fleets need at most 0.4
+
 CSV_COLUMNS = ["cell_id", "split", "cycle", "discharge_capacity_ah", "nominal_capacity_ah"]
 
 
@@ -69,6 +71,8 @@ class NormalizedTrace:
     def __post_init__(self):
         object.__setattr__(self, "cycles", np.asarray(self.cycles, dtype=int))
         object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
+        if len(self.q) != len(self.cycles) or not np.all(np.isfinite(self.q)):
+            raise MalformedRow(f"{self.cell_id}: need one finite normalized capacity per cycle")
         if self.q0_ah <= 0:
             raise ValueError("q0_ah must be positive")
         if np.max(self.q) > 1.15:
@@ -199,7 +203,8 @@ def extend_linear(trace: NormalizedTrace, tail: int = 30, floor: float = 0.5) ->
 
     Appends one synthetic point per cycle on the fitted line, stopping at
     (and including, clamped to the floor) the first cycle whose line value
-    drops to or below `floor`.
+    drops to or below `floor`.  Raises NonDecreasingTail unless the line
+    falls and reaches the floor within MAX_EXTENSION x the last cycle.
     """
     if len(trace.cycles) < tail:
         raise ValueError(f"{trace.cell_id}: need >= {tail} points to extend")
@@ -208,25 +213,26 @@ def extend_linear(trace: NormalizedTrace, tail: int = 30, floor: float = 0.5) ->
     ks = trace.cycles[-tail:].astype(float)
     qs = trace.q[-tail:]
     slope, intercept = np.polyfit(ks, qs, 1)
-    if slope >= 0:
+    if not slope < 0:
         raise NonDecreasingTail(f"{trace.cell_id}: tail slope {slope:.3e} >= 0")
-
-    new_cycles = []
-    new_q = []
-    k = int(trace.cycles[-1])
-    while True:
-        k += 1
-        val = intercept + slope * k
-        new_cycles.append(k)
-        new_q.append(max(val, floor))
-        if val <= floor + 1e-12:  # tolerance so an exact-floor landing terminates
-            break
+    last = int(trace.cycles[-1])
+    limit = floor + 1e-12  # tolerance so an exact-floor landing terminates
+    # cycles to the crossing, capped, plus two for rounding; the line is
+    # monotone in k also in floating point, so the first value <= limit ends it
+    span = min(max((limit - intercept) / slope - last, 0.0), MAX_EXTENSION * last)
+    new_cycles = np.arange(last + 1, last + int(np.ceil(span)) + 3)
+    vals = intercept + slope * new_cycles
+    reached = vals <= limit
+    if not reached[-1]:
+        msg = f"misses floor {floor} within {MAX_EXTENSION}x the measured life"
+        raise NonDecreasingTail(f"{trace.cell_id}: tail slope {slope:.3e} {msg}")
+    n = int(np.argmax(reached)) + 1
     return NormalizedTrace(
         cell_id=trace.cell_id,
-        cycles=np.concatenate([trace.cycles, np.array(new_cycles, dtype=int)]),
-        q=np.concatenate([trace.q, np.array(new_q)]),
+        cycles=np.concatenate([trace.cycles, new_cycles[:n]]),
+        q=np.concatenate([trace.q, np.maximum(vals[:n], floor)]),
         q0_ah=trace.q0_ah,
-        extrapolated_from=int(trace.cycles[-1]) + 1,
+        extrapolated_from=last + 1,
     )
 
 
@@ -236,13 +242,8 @@ def trigger_cycle(trace: NormalizedTrace, threshold: float = 0.95, persist: int 
     `persist` > 1 requires that many consecutive sub-threshold points and
     returns the first cycle of the run.
     """
-    below = trace.q <= threshold
-    if persist <= 1:
-        idx = np.flatnonzero(below)
-        return int(trace.cycles[idx[0]]) if len(idx) else None
-    run = 0
-    for i, b in enumerate(below):
-        run = run + 1 if b else 0
-        if run >= persist:
-            return int(trace.cycles[i - persist + 1])
-    return None
+    persist = max(persist, 1)
+    count = np.concatenate([[0], np.cumsum(trace.q <= threshold)])
+    # the window of points i .. i + persist - 1 is a run if all of them are below
+    starts = np.flatnonzero(count[persist:] - count[:-persist] == persist)
+    return int(trace.cycles[starts[0]]) if len(starts) else None

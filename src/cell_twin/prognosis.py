@@ -22,7 +22,8 @@ class CapacityProjection:
     from_cycle: int
     horizon_cycle: int
     median_q: np.ndarray                       # per cycle, floored at eol_threshold
-    quantile_bands: dict[float, np.ndarray]
+    q05: np.ndarray                            # 5% band, floored likewise
+    q95: np.ndarray                            # 95% band, floored likewise
     per_particle_eol: np.ndarray
     eol_weights: np.ndarray
     eol_threshold: float
@@ -31,16 +32,6 @@ class CapacityProjection:
     def cycles(self) -> np.ndarray:
         return np.arange(self.from_cycle, self.horizon_cycle + 1)
 
-    def export_csv_rows(self):
-        """Rows for the cycle,median_q,q05,q95 plot-data export."""
-        lo = self.quantile_bands.get(0.05)
-        hi = self.quantile_bands.get(0.95)
-        for i, k in enumerate(self.cycles):
-            row = [int(k), self.median_q[i]]
-            row.append(lo[i] if lo is not None else "")
-            row.append(hi[i] if hi is not None else "")
-            yield row
-
 
 @dataclass(frozen=True)
 class RulPrediction:
@@ -48,6 +39,11 @@ class RulPrediction:
     rul_median: float
     rul_quantiles: dict[float, float]
     eol_threshold: float
+
+
+def _lower_index(cum: np.ndarray, level: float):
+    """First row, per column of cumulative weights `cum` (last row 1), to reach `level`."""
+    return np.minimum((cum < level).sum(axis=0), len(cum) - 1)
 
 
 class EolDistribution:
@@ -70,9 +66,7 @@ class EolDistribution:
 
     def quantile(self, level: float) -> float:
         """Lower quantile: smallest EOL with cumulative weight >= level."""
-        idx = int(np.searchsorted(self.cum, level, side="left"))
-        idx = min(idx, len(self.eols) - 1)
-        return float(self.eols[idx])
+        return float(self.eols[_lower_index(self.cum, level)])
 
 
 def weighted_quantile(values: np.ndarray, weights: np.ndarray, level: float) -> float:
@@ -87,12 +81,12 @@ def project(
     ens: ParticleEnsemble,
     from_cycle: int,
     eol_threshold: float = 0.5,
-    quantiles: tuple[float, ...] = (0.05, 0.95),
 ) -> CapacityProjection:
     """Roll every particle forward deterministically and summarize.
 
-    The horizon is capped at the weighted 99th percentile of the
-    per-particle analytic EOLs to bound output size.
+    The 5/50/95% bands are per-cycle weighted lower quantiles, the rule of
+    `EolDistribution.quantile`.  The horizon is capped at the weighted 99th
+    percentile of the per-particle analytic EOLs to bound output size.
     """
     if from_cycle < ens.last_cycle:
         raise ValueError("cannot project from before the last assimilated cycle")
@@ -106,24 +100,20 @@ def project(
     traj = fade_q(ln_a[:, None], ens.b[:, None], np.log(cycles))
 
     order = np.argsort(traj, axis=0, kind="stable")
-    sorted_traj = np.take_along_axis(traj, order, axis=0)
-    cum = np.cumsum(ens.weights[order], axis=0)
+    cum = ens.weights[order]
+    np.cumsum(cum, axis=0, out=cum)  # in place: one particles x horizon buffer fewer
     cum[-1, :] = 1.0
+    cols = np.arange(len(cycles))
 
-    def column_quantile(level: float) -> np.ndarray:
-        out = np.empty(len(cycles))
-        for j in range(len(cycles)):
-            idx = min(int(np.searchsorted(cum[:, j], level, side="left")), len(ens.weights) - 1)
-            out[j] = sorted_traj[idx, j]
-        return out
+    def band(level: float) -> np.ndarray:
+        return np.maximum(traj[order[_lower_index(cum, level), cols], cols], eol_threshold)
 
-    median_q = np.maximum(column_quantile(0.5), eol_threshold)
-    bands = {lvl: np.maximum(column_quantile(lvl), eol_threshold) for lvl in quantiles}
     return CapacityProjection(
         from_cycle=from_cycle,
         horizon_cycle=horizon,
-        median_q=median_q,
-        quantile_bands=bands,
+        median_q=band(0.5),
+        q05=band(0.05),
+        q95=band(0.95),
         per_particle_eol=eols,
         eol_weights=ens.weights.copy(),
         eol_threshold=eol_threshold,

@@ -69,9 +69,58 @@ class TestIngest:
         assert "capacity must be finite and positive" in capsys.readouterr().err
         assert not (out / "cells").exists()
 
+    def test_flat_tail_data_error(self, tmp_path, capsys):
+        cfg, out = make_config(tmp_path)
+        data = tmp_path / "fleet.csv"
+        lines = data.read_text().splitlines()
+        last_cell = lines[-1].split(",")[0]
+        for i, line in enumerate(lines):
+            row = line.split(",")
+            if row[0] == last_cell:
+                row[3] = repr(1.0 - 1e-6 * int(row[2]))
+                lines[i] = ",".join(row)
+        data.write_text("\n".join(lines) + "\n")
+        assert run("ingest", cfg) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and last_cell in err[0] and "measured life" in err[0]
+        assert not (out / "cells").exists()
+
     def test_bad_threshold_config_error(self, tmp_path):
         cfg, _ = make_config(tmp_path, out_name="badth", thresholds={"trigger": 1.5})
         assert run("ingest", cfg) == 2
+
+    def test_non_integer_persist_config_error(self, tmp_path):
+        cfg, _ = make_config(tmp_path, out_name="badpersist", trigger_persist=2.5)
+        assert run("ingest", cfg) == 2
+
+
+def nan_q(cell):
+    cell["q"][3] = float("nan")
+    return json.dumps(cell)
+
+
+class TestCorruptedCellFile:
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            nan_q,
+            lambda cell: json.dumps(cell)[:200],
+            lambda cell: json.dumps({k: v for k, v in cell.items() if k != "q"}),
+            lambda cell: json.dumps({**cell, "q": cell["q"][:-1]}),
+        ],
+        ids=["nan_q", "truncated", "missing_q", "short_q"],
+    )
+    def test_data_error(self, tmp_path, capsys, corrupt):
+        cfg, out = make_config(tmp_path)
+        run("ingest", cfg)
+        cell = sorted(json.loads((out / "manifest.json").read_text()))[-1]
+        path = out / "cells" / f"{cell}.json"
+        path.write_text(corrupt(json.loads(path.read_text())))
+        capsys.readouterr()
+        assert run("simulate", cfg, "--cell", cell) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:") and cell in err[0]
+        assert not (out / "sim").exists()
 
 
 class TestCalibrate:

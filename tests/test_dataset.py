@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from cell_twin import CellRecord, NormalizedTrace, Split, extend_linear, load_cells, normalize, trigger_cycle
-from cell_twin.dataset import load_split_manifest
+from cell_twin.dataset import MAX_EXTENSION, load_split_manifest
 from cell_twin.errors import (
     AlreadyBelowFloor,
     DuplicateCycle,
@@ -13,6 +15,35 @@ from cell_twin.errors import (
 )
 
 HEADER = "cell_id,split,cycle,discharge_capacity_ah,nominal_capacity_ah\n"
+
+
+def loop_extension(trace, tail, floor, max_points):
+    """Reference: walk the fitted tail line one cycle at a time down to the floor.
+
+    Returns None for a tail that does not fall, or that does not reach the
+    floor within `max_points` cycles.
+    """
+    slope, intercept = np.polyfit(trace.cycles[-tail:].astype(float), trace.q[-tail:], 1)
+    if slope >= 0:
+        return None
+    cycles, qs = [], []
+    for k in range(int(trace.cycles[-1]) + 1, int(trace.cycles[-1]) + max_points + 1):
+        val = intercept + slope * k
+        cycles.append(k)
+        qs.append(max(val, floor))
+        if val <= floor + 1e-12:
+            return cycles, qs
+    return None
+
+
+def scan_trigger_cycle(trace, threshold, persist):
+    """Reference: count the current run of sub-threshold points point by point."""
+    run = 0
+    for i, q in enumerate(trace.q):
+        run = run + 1 if q <= threshold else 0
+        if run >= max(persist, 1):
+            return int(trace.cycles[i - max(persist, 1) + 1])
+    return None
 
 
 def write_csv(tmp_path, body, name="cells.csv"):
@@ -134,6 +165,41 @@ class TestExtendLinear:
         with pytest.raises(NonDecreasingTail):
             extend_linear(tr)
 
+    def test_flat_tail_beyond_bound(self):
+        # the line would cross 0.5 at ~400,000 cycles, far past 10x the 40 measured
+        ks = np.arange(1, 41)
+        tr = NormalizedTrace("c", ks, 0.9 - 1e-6 * ks, 1.1)
+        with pytest.raises(NonDecreasingTail, match="measured life"):
+            extend_linear(tr)
+
+    @given(
+        st.lists(st.integers(1, 4), min_size=29, max_size=60),
+        st.integers(1, 400),
+        st.integers(2, 30),
+        st.floats(0.0, 0.3),
+        st.floats(0.3, 0.8),
+        st.floats(0.0, 0.4),
+        st.floats(0.0, 0.01),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_loop(self, gaps, first, tail, drop, floor, height, noise, seed):
+        ks = first + np.concatenate([[0], np.cumsum(gaps)])
+        rng = np.random.default_rng(seed)
+        qs = floor + height + drop * (ks[-1] - ks) / (ks[-1] - ks[0]) + rng.normal(0.0, noise, len(ks))
+        qs = np.minimum(qs, 1.14)
+        assume(qs[-1] > floor)
+        tr = NormalizedTrace("c", ks, qs, 1.1)
+        expect = loop_extension(tr, tail, floor, MAX_EXTENSION * int(ks[-1]) + 3)
+        try:
+            ext = extend_linear(tr, tail=tail, floor=floor)
+        except NonDecreasingTail:
+            assert expect is None or len(expect[0]) > MAX_EXTENSION * ks[-1]
+            return
+        cycles, q = expect
+        assert ext.extrapolated_from == ks[-1] + 1
+        assert np.array_equal(ext.cycles[len(ks):], cycles)
+        assert ext.q[len(ks):].tobytes() == np.array(q).tobytes()
+
     def test_already_below_floor(self):
         tr = self.linear_trace()
         with pytest.raises(AlreadyBelowFloor):
@@ -183,6 +249,13 @@ class TestTriggerCycle:
         tr = NormalizedTrace("c", np.arange(1, 5), np.array([1.0, 0.9, 0.8, 0.7]), 1.1)
         assert trigger_cycle(tr, 1.0 + 1e-9) == 1
         assert trigger_cycle(tr, 0.0) is None
+
+    @given(st.lists(st.tuples(st.integers(1, 3), st.sampled_from([0.9, 0.95, 1.0])), min_size=1, max_size=30), st.data())
+    def test_equals_run_scan(self, points, data):
+        ks = np.cumsum([gap for gap, _ in points])
+        tr = NormalizedTrace("c", ks, [q for _, q in points], 1.1)
+        persist = data.draw(st.integers(0, len(points) + 2))
+        assert trigger_cycle(tr, 0.95, persist) == scan_trigger_cycle(tr, 0.95, persist)
 
 
 class TestJsonRoundTrip:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cell_twin import FilterConfig, analytic_eol, capacity, eol_distribution, init, project, rul
 from cell_twin.filtering import ParticleEnsemble
+from cell_twin.model import _LN10, fade_q
 from cell_twin.prognosis import weighted_quantile
 
 finite_values = st.one_of(st.integers(-5, 5).map(float), st.floats(-1e6, 1e6))
@@ -92,6 +93,23 @@ class TestProject:
         assert proj.median_q[0] == pytest.approx(
             max(weighted_quantile(vals, ens.weights, 0.5), 0.5)
         )
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(1, 10)), min_size=1, max_size=8),
+        st.lists(st.tuples(st.floats(-16.2, -15.3), st.floats(5.0, 6.0)), min_size=4, max_size=4),
+        st.integers(200, 1500),
+    )
+    def test_bands_equal_column_quantiles(self, picks, pool, from_cycle):
+        # particles drawn from a pool of 4, so some are tied; weights uneven
+        counts = np.array([c for _, c in picks], dtype=float)
+        ens = make_ensemble(
+            [pool[i][0] for i, _ in picks], [pool[i][1] for i, _ in picks], counts / counts.sum(), from_cycle
+        )
+        proj = project(ens, from_cycle, 0.5)
+        traj = fade_q(_LN10 * ens.log10_a[:, None], ens.b[:, None], np.log(proj.cycles))
+        for band, level in [(proj.q05, 0.05), (proj.median_q, 0.5), (proj.q95, 0.95)]:
+            assert band.tolist() == [max(weighted_quantile(col, ens.weights, level), 0.5) for col in traj.T]
+        assert np.all(proj.q05 <= proj.median_q) and np.all(proj.median_q <= proj.q95)
 
     def test_projection_pure(self):
         ens = make_ensemble([-15.77, -15.5], [5.45, 5.2])

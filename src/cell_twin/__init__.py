@@ -18,7 +18,6 @@ from .utility import (
     default_attribute_specs,
     make_exp_utility,
     mtbc,
-    total_ah,
 )
 
 __version__ = "0.1.0"

@@ -1,10 +1,9 @@
 """Offline fleet calibration of the power-law fade model.
 
 Per-cell fits start from the log-linearization ln(1 - q) = ln a + b ln k
-(exact on noise-free data, no initialization needed) and by default are
-polished against the q-space squared error.  Fleet medians seed the
-online filter; total-Ah percentiles inform the throughput utility
-bounds.
+(exact on noise-free data, no initialization needed) and are polished
+against the q-space squared error.  Fleet medians seed the online
+filter; total-Ah percentiles inform the throughput utility bounds.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from .model import PowerLawParams, fade_q
 
 FADE_EPS = 1e-4       # points with q >= 1 - FADE_EPS carry no usable fade signal
 MIN_FIT_POINTS = 10
+AH_PERCENTILES = (5, 50, 95)
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class FleetFit:
     median_log10_a: float
     median_b: float
     ah_percentiles: dict[int, float]                 # percentile -> Ah
-    failed_cells: tuple[str, ...] = ()
+    failed_cells: tuple[str, ...]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -50,10 +50,10 @@ class FleetFit:
         d = json.loads(s)
         return cls(
             per_cell={e["cell_id"]: (e["log10_a"], e["b"], e["rmse"]) for e in d["per_cell"]},
-            median_log10_a=d["median_log10_a"],
-            median_b=d["median_b"],
+            median_log10_a=float(d["median_log10_a"]),
+            median_b=float(d["median_b"]),
             ah_percentiles={int(p): v for p, v in d["ah_percentiles"].items()},
-            failed_cells=tuple(d.get("failed_cells", ())),
+            failed_cells=tuple(d["failed_cells"]),
         )
 
 
@@ -63,12 +63,12 @@ def lower_median(values) -> float:
     return float(v[(len(v) - 1) // 2])
 
 
-def fit_power_law(trace: NormalizedTrace, polish: bool = True) -> tuple[PowerLawParams, float]:
+def fit_power_law(trace: NormalizedTrace) -> tuple[PowerLawParams, float]:
     """Fit (a, b) to the measured portion of a trace.
 
     A variance-weighted log-linear OLS on ln(1 - q) = ln a + b ln k gives
     the deterministic, initialization-free starting point (exact on
-    noise-free data).  By default a Levenberg-Marquardt polish then
+    noise-free data).  A Levenberg-Marquardt polish then
     minimizes the q-space squared error: the log-space fit is badly
     biased by near-unity points whose noise rivals the fade signal, and
     the polish removes that bias while leaving exact fits untouched.
@@ -87,11 +87,11 @@ def fit_power_law(trace: NormalizedTrace, polish: bool = True) -> tuple[PowerLaw
     sw = 1.0 - q  # delta method: std of ln(1-q) scales as 1/(1-q)
     design = np.stack([ln_k, np.ones(len(k))], axis=1)
     b, ln_a = np.linalg.lstsq(design * sw[:, None], y * sw, rcond=None)[0]
-    if polish:
-        def resid(p):
-            return fade_q(p[0], p[1], ln_k) - q
 
-        ln_a, b = least_squares(resid, [ln_a, b], method="lm").x
+    def resid(p):
+        return fade_q(p[0], p[1], ln_k) - q
+
+    ln_a, b = least_squares(resid, [ln_a, b], method="lm").x
     params = PowerLawParams(a=float(np.exp(ln_a)), b=float(b))
     q_hat = fade_q(ln_a, b, ln_k)
     rmse = float(np.sqrt(np.mean((q_hat - q) ** 2)))
@@ -104,9 +104,7 @@ def total_measured_ah(trace: NormalizedTrace) -> float:
     return float(np.sum(trace.q[m]) * trace.q0_ah)
 
 
-def fleet_calibrate(
-    train: list[NormalizedTrace], percentiles: tuple[int, ...] = (5, 50, 95)
-) -> FleetFit:
+def fleet_calibrate(train: list[NormalizedTrace]) -> FleetFit:
     """Fit every training cell and reduce to fleet medians and Ah percentiles."""
     per_cell = {}
     failed = []
@@ -125,11 +123,7 @@ def fleet_calibrate(
     bs = [v[1] for v in per_cell.values()]
     ah_sorted = np.sort(ahs)
     # lower empirical percentile, consistent with the median convention
-    pct = {
-        p: float(ah_sorted[min(int(np.ceil(p / 100 * len(ah_sorted))) - 1, len(ah_sorted) - 1)])
-        if p > 0 else float(ah_sorted[0])
-        for p in percentiles
-    }
+    pct = {p: float(ah_sorted[int(np.ceil(p / 100 * len(ah_sorted))) - 1]) for p in AH_PERCENTILES}
     return FleetFit(
         per_cell=per_cell,
         median_log10_a=lower_median(las),

@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,21 +35,29 @@ EXIT_RUNTIME = 4
 class RunConfig:
     dataset: Path
     output_dir: Path
-    split_manifest: Path | None = None
-    seed: int = 0
-    filter: filtering.FilterConfig = field(default_factory=filtering.FilterConfig)
-    utilities: list[utility.AttributeSpec] = field(default_factory=utility.default_attribute_specs)
-    trigger: float = 0.95
-    eol: float = 0.5
-    retire_floor: float = 0.5
-    schedule_stride: int = 100
-    schedule_cycles: list[int] | None = None
-    normalize_window: int = 100
-    extend_tail: int = 30
-    extend_floor: float = 0.5
-    trigger_persist: int = 1
-    discharge_rate_c: float = 4.0
-    workers: int = 1
+    split_manifest: Path | None
+    filter: filtering.FilterConfig       # its seed is the run's base seed
+    utilities: list[utility.AttributeSpec]
+    trigger: float
+    eol: float
+    retire_floor: float
+    schedule_stride: int
+    schedule_cycles: list[int] | None
+    normalize_window: int
+    extend_tail: int
+    extend_floor: float
+    trigger_persist: int
+    discharge_rate_c: float
+    workers: int
+
+
+def _checked(name: str, value, low, high=math.inf, integer: bool = False):
+    """`value` if it is an integer >= `low` (`integer`) or a number in (`low`, `high`); else ConfigError."""
+    ok = isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+    if not (ok and (value >= low if integer else low < value < high)):
+        what = f"an integer >= {low}" if integer else f"a number in ({low}, {high})"
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return value
 
 
 def load_config(path, seed_override: int | None = None, out_override: str | None = None) -> RunConfig:
@@ -59,9 +68,13 @@ def load_config(path, seed_override: int | None = None, out_override: str | None
         raise ConfigError(f"cannot read config {path}: {e}") from None
 
     try:
+        seed = raw.get("seed", 0) if seed_override is None else seed_override
+        seed = _checked("seed", seed, 0, integer=True)
         fraw = dict(raw.get("filter", {}))
+        if "n_particles" in fraw:
+            _checked("filter.n_particles", fraw["n_particles"], 2, integer=True)
         sigmas = {k: fraw.pop(k) for k in ("sigma_meas", "sigma_log_a", "sigma_b") if k in fraw}
-        fcfg = filtering.FilterConfig(noise=NoiseSpec(**sigmas), seed=raw.get("seed", 0), **fraw)
+        fcfg = filtering.FilterConfig(noise=NoiseSpec(**sigmas), seed=seed, **fraw)
         specs = []
         for u in raw.get("utilities", []):
             specs.append(
@@ -76,36 +89,31 @@ def load_config(path, seed_override: int | None = None, out_override: str | None
             specs = utility.default_attribute_specs()
         th = raw.get("thresholds", {})
         sched = raw.get("schedule", {})
+        ext = raw.get("extend", {})
+        cycles = sched.get("cycles")
+        if cycles is not None:
+            cycles = [_checked("schedule.cycles", k, 1, integer=True) for k in cycles]
         cfg = RunConfig(
             dataset=Path(raw["dataset"]),
             output_dir=Path(out_override or raw.get("output_dir", "out")),
             split_manifest=Path(raw["split_manifest"]) if raw.get("split_manifest") else None,
-            seed=raw.get("seed", 0),
             filter=fcfg,
             utilities=specs,
-            trigger=th.get("trigger", 0.95),
-            eol=th.get("eol", 0.5),
-            retire_floor=th.get("retire_floor", 0.5),
-            schedule_stride=sched.get("stride", 100),
-            schedule_cycles=sched.get("cycles"),
-            normalize_window=raw.get("normalize_window", 100),
-            extend_tail=raw.get("extend", {}).get("tail", 30),
-            extend_floor=raw.get("extend", {}).get("floor", 0.5),
-            trigger_persist=raw.get("trigger_persist", 1),
-            discharge_rate_c=raw.get("discharge_rate_c", 4.0),
-            workers=raw.get("workers", 1),
+            trigger=_checked("thresholds.trigger", th.get("trigger", 0.95), 0, 1),
+            eol=_checked("thresholds.eol", th.get("eol", 0.5), 0, 1),
+            retire_floor=_checked("thresholds.retire_floor", th.get("retire_floor", 0.5), 0, 1),
+            schedule_stride=_checked("schedule.stride", sched.get("stride", 100), 1, integer=True),
+            schedule_cycles=cycles,
+            normalize_window=_checked("normalize_window", raw.get("normalize_window", 100), 1, integer=True),
+            extend_tail=_checked("extend.tail", ext.get("tail", 30), 2, integer=True),  # a line needs 2 points
+            extend_floor=_checked("extend.floor", ext.get("floor", 0.5), 0, 1),
+            trigger_persist=_checked("trigger_persist", raw.get("trigger_persist", 1), 1, integer=True),
+            discharge_rate_c=_checked("discharge_rate_c", raw.get("discharge_rate_c", 4.0), 0),
+            workers=_checked("workers", raw.get("workers", 1), 1, integer=True),
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"invalid config {path}: {e}") from None
 
-    if seed_override is not None:
-        cfg.seed = seed_override
-        cfg.filter = replace(cfg.filter, seed=seed_override)
-    for bad, name in [(cfg.trigger, "trigger"), (cfg.eol, "eol"), (cfg.retire_floor, "retire_floor")]:
-        if not 0.0 < bad < 1.0:
-            raise ConfigError(f"threshold {name} must be in (0, 1), got {bad}")
-    if not isinstance(cfg.trigger_persist, int):
-        raise ConfigError(f"trigger_persist must be an integer, got {cfg.trigger_persist!r}")
     if cfg.schedule_cycles is not None and np.any(np.diff(cfg.schedule_cycles) <= 0):
         raise ConfigError("schedule cycles must be strictly increasing")
     if not cfg.dataset.exists():
@@ -162,12 +170,16 @@ def load_traces(cfg: RunConfig) -> dict[str, tuple[dataset.Split, dataset.Normal
     return out
 
 
-def init_filter_config(cfg: RunConfig, seed: int) -> filtering.FilterConfig:
-    fit_path = cfg.output_dir / "fleet_fit.json"
-    if not fit_path.exists():
-        return replace(cfg.filter, seed=seed)
-    fit = calib.FleetFit.from_json(fit_path.read_text(encoding="utf-8"))
-    return replace(cfg.filter, init_log10_a=fit.median_log10_a, init_b=fit.median_b, seed=seed)
+def with_fleet_fit(cfg: RunConfig) -> RunConfig:
+    """`cfg` with the filter's initial cloud centred on the fleet medians once calibrate has run."""
+    path = cfg.output_dir / "fleet_fit.json"
+    if not path.exists():
+        return cfg
+    try:
+        fit = calib.FleetFit.from_json(path.read_text(encoding="utf-8"))
+    except (AttributeError, KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
+        raise DataError(f"{path}: corrupted ({type(e).__name__}: {e})") from None
+    return replace(cfg, filter=replace(cfg.filter, init_log10_a=fit.median_log10_a, init_b=fit.median_b))
 
 
 def prediction_schedule(cfg: RunConfig, trace: dataset.NormalizedTrace) -> list[int]:
@@ -217,7 +229,7 @@ def cmd_calibrate(cfg: RunConfig) -> int:
 def _simulate_cell(cfg: RunConfig, cell_id: str, trace: dataset.NormalizedTrace) -> list[int]:
     schedule = prediction_schedule(cfg, trace)
     sim_dir = cfg.output_dir / "sim" / cell_id
-    fcfg = init_filter_config(cfg, cell_seed(cfg.seed, cell_id))
+    fcfg = replace(cfg.filter, seed=cell_seed(cfg.filter.seed, cell_id))
     ens = filtering.init(fcfg)
     preds = []
     for k in schedule:
@@ -252,16 +264,14 @@ def cmd_simulate(cfg: RunConfig, cell_id: str | None) -> int:
         targets = [cell_id]
     else:
         targets = sorted(c for c, (s, _) in traces.items() if s is not dataset.Split.TRAIN)
+    cfg = with_fleet_fit(cfg)
     # per-cell seeds are derived from (seed, cell_id), so results do not
     # depend on worker count or completion order
     def run(c):
         return c, _simulate_cell(cfg, c, traces[c][1])
 
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(run, targets))
-    else:
-        results = [run(c) for c in targets]
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        results = list(pool.map(run, targets))
     for c, schedule in results:
         print(f"{c}: {len(schedule)} prediction cycles")
     return EXIT_OK
@@ -276,7 +286,8 @@ def cmd_retire(cfg: RunConfig, cell_id: str, current: int | None) -> int:
         current = dataset.trigger_cycle(trace, cfg.trigger, cfg.trigger_persist)
         if current is None:
             raise retirement.NotTriggered(f"{cell_id}: capacity never reached trigger {cfg.trigger}")
-    fcfg = init_filter_config(cfg, cell_seed(cfg.seed, cell_id))
+    cfg = with_fleet_fit(cfg)
+    fcfg = replace(cfg.filter, seed=cell_seed(cfg.filter.seed, cell_id))
     ens = filtering.init(fcfg)
     filtering.assimilate(ens, trace, current, fcfg.noise)
     decision = retirement.optimize_retirement(
@@ -373,8 +384,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         seed = args.seed
-        if seed is None and os.environ.get("CELL_TWIN_SEED"):
-            seed = int(os.environ["CELL_TWIN_SEED"])
+        env_seed = os.environ.get("CELL_TWIN_SEED")
+        if seed is None and env_seed:
+            try:
+                seed = int(env_seed)
+            except ValueError:
+                raise ConfigError(f"CELL_TWIN_SEED must be an integer, got {env_seed!r}") from None
         cfg = load_config(args.config, seed_override=seed, out_override=args.out)
         if args.command == "ingest":
             return cmd_ingest(cfg, extend=not args.no_extend)

@@ -43,7 +43,6 @@ class CellRecord:
     cycles: np.ndarray          # int, strictly increasing, starts at >= 1
     capacity_ah: np.ndarray     # float, finite and strictly positive, same length
     nominal_capacity_ah: float
-    extrapolated_from: int | None = None
 
     def __post_init__(self):
         cycles = np.asarray(self.cycles, dtype=int)
@@ -74,9 +73,9 @@ class NormalizedTrace:
         if len(self.q) != len(self.cycles) or not np.all(np.isfinite(self.q)):
             raise MalformedRow(f"{self.cell_id}: need one finite normalized capacity per cycle")
         if self.q0_ah <= 0:
-            raise ValueError("q0_ah must be positive")
+            raise MalformedRow(f"{self.cell_id}: q0_ah must be positive")
         if np.max(self.q) > 1.15:
-            raise ValueError(f"{self.cell_id}: normalized capacity exceeds sanity bound 1.15")
+            raise MalformedRow(f"{self.cell_id}: normalized capacity exceeds sanity bound 1.15")
 
     @property
     def measured_mask(self) -> np.ndarray:
@@ -101,7 +100,7 @@ class NormalizedTrace:
             cycles=np.asarray(d["cycles"], dtype=int),
             q=np.asarray(d["q"], dtype=float),
             q0_ah=float(d["q0_ah"]),
-            extrapolated_from=d.get("extrapolated_from"),
+            extrapolated_from=d["extrapolated_from"],
         )
 
 
@@ -194,7 +193,6 @@ def normalize(cell: CellRecord, window: int = 100) -> NormalizedTrace:
         cycles=cell.cycles.copy(),
         q=cell.capacity_ah / q0,
         q0_ah=q0,
-        extrapolated_from=cell.extrapolated_from,
     )
 
 
@@ -207,7 +205,7 @@ def extend_linear(trace: NormalizedTrace, tail: int = 30, floor: float = 0.5) ->
     falls and reaches the floor within MAX_EXTENSION x the last cycle.
     """
     if len(trace.cycles) < tail:
-        raise ValueError(f"{trace.cell_id}: need >= {tail} points to extend")
+        raise MalformedRow(f"{trace.cell_id}: need >= {tail} points to extend")
     if trace.q[-1] <= floor:
         raise AlreadyBelowFloor(f"{trace.cell_id}: last q {trace.q[-1]:.4f} <= floor {floor}")
     ks = trace.cycles[-tail:].astype(float)

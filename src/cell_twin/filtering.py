@@ -91,7 +91,7 @@ class ParticleEnsemble:
             weights=np.asarray(d["weight"], dtype=float),
             last_cycle=int(d["last_cycle"]),
             rng=rng,
-            resample_threshold=float(d.get("resample_threshold", 0.5)),
+            resample_threshold=float(d["resample_threshold"]),
             seed=int(d["seed"]),
         )
 

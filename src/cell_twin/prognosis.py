@@ -124,16 +124,12 @@ def eol_distribution(proj: CapacityProjection) -> EolDistribution:
     return EolDistribution(proj.per_particle_eol, proj.eol_weights)
 
 
-def rul(
-    proj: CapacityProjection,
-    at_cycle: int,
-    quantiles: tuple[float, ...] = (0.05, 0.95),
-) -> RulPrediction:
-    """Remaining useful life distribution at `at_cycle`, clamped at zero."""
+def rul(proj: CapacityProjection, at_cycle: int) -> RulPrediction:
+    """Remaining useful life distribution at `at_cycle`, clamped at zero, with its 5/95% levels."""
     dist = EolDistribution(np.maximum(proj.per_particle_eol - at_cycle, 0.0), proj.eol_weights)
     return RulPrediction(
         at_cycle=at_cycle,
         rul_median=dist.quantile(0.5),
-        rul_quantiles={lvl: dist.quantile(lvl) for lvl in quantiles},
+        rul_quantiles={lvl: dist.quantile(lvl) for lvl in (0.05, 0.95)},
         eol_threshold=proj.eol_threshold,
     )

@@ -2,7 +2,7 @@
 
 An exponential utility phi(v) = sigma - tau * exp(-v / r) is anchored so
 phi(l_u) = 0 and phi(h_u) = 1; attribute values are clamped to
-[l_u, h_u] by default so the combined utility stays in [0, 1].
+[l_u, h_u] so the combined utility stays in [0, 1].
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBounds, IncompleteTrajectory, LengthMismatch, NonPositiveRisk
+from .errors import DegenerateBounds, LengthMismatch, NonPositiveRisk
 
 
 class Attribute(enum.Enum):
@@ -28,11 +28,9 @@ class ExpUtility:
     r: float             # risk tolerance, same units
     sigma_coef: float
     tau_coef: float
-    clamp: bool = True
 
     def value(self, v) -> float | np.ndarray:
-        if self.clamp:
-            v = np.clip(v, self.l_u, self.h_u)
+        v = np.clip(v, self.l_u, self.h_u)
         out = self.sigma_coef - self.tau_coef * np.exp(-np.asarray(v, dtype=float) / self.r)
         return out if np.ndim(out) else float(out)
 
@@ -45,7 +43,7 @@ class AttributeSpec:
     weight: float
 
 
-def make_exp_utility(l_u: float, h_u: float, r: float, clamp: bool = True) -> ExpUtility:
+def make_exp_utility(l_u: float, h_u: float, r: float) -> ExpUtility:
     """Build the anchored exponential utility for bounds (l_u, h_u) and risk r."""
     if h_u <= l_u:
         raise DegenerateBounds(f"h_u {h_u} must exceed l_u {l_u}")
@@ -59,24 +57,7 @@ def make_exp_utility(l_u: float, h_u: float, r: float, clamp: bool = True) -> Ex
         r=r,
         sigma_coef=e_l / (e_l - e_h),
         tau_coef=1.0 / (e_l - e_h),
-        clamp=clamp,
     )
-
-
-def total_ah(trace_q: np.ndarray, q0_ah: float, x_c: int) -> float:
-    """Cumulative discharge throughput over cycles 1..x_c, in ampere-hours.
-
-    Assumes one full discharge per cycle; `trace_q` must cover cycles
-    1..x_c (index i holds cycle i+1).
-    """
-    if x_c == 0:
-        return 0.0
-    if len(trace_q) < x_c:
-        raise IncompleteTrajectory(f"trajectory covers {len(trace_q)} cycles, need {x_c}")
-    seg = np.asarray(trace_q[:x_c], dtype=float)
-    if not np.all(np.isfinite(seg)):
-        raise IncompleteTrajectory("trajectory has non-finite values inside 1..x_c")
-    return float(np.sum(seg) * q0_ah)
 
 
 def mtbc(q_at_xc: float, discharge_rate_c: float = 4.0) -> float:
@@ -101,9 +82,8 @@ def combined_utility(specs: list[AttributeSpec], values: list) -> float | np.nda
     return total if np.ndim(total) else float(total)
 
 
-def default_attribute_specs(discharge_rate_c: float = 4.0) -> list[AttributeSpec]:
+def default_attribute_specs() -> list[AttributeSpec]:
     """The two case-study attributes with their published bounds."""
-    del discharge_rate_c  # bounds already expressed in hours
     return [
         AttributeSpec(
             name="total_ah",

@@ -15,12 +15,6 @@ class TestFitPowerLaw:
         assert params.b == pytest.approx(4.0, abs=1e-9)
         assert rmse == pytest.approx(0.0, abs=1e-12)
 
-    def test_exact_recovery_without_polish(self):
-        trace = power_law_trace(log10_a=-12.0, b=4.0, n_cycles=300)
-        params, _ = fit_power_law(trace, polish=False)
-        assert params.log10_a == pytest.approx(-12.0, abs=1e-9)
-        assert params.b == pytest.approx(4.0, abs=1e-9)
-
     def test_insufficient_fade(self):
         trace = NormalizedTrace("c", np.arange(1, 51), np.ones(50), 1.1)
         with pytest.raises(InsufficientFade):

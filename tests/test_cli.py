@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cell_twin
 from cell_twin.cli import main
 from cell_twin.synth import synth_fleet_csv
 
@@ -264,3 +268,65 @@ class TestEndToEndDeterminism:
         monkeypatch.delenv("CELL_TWIN_SEED")
         run("simulate", cfg, "--cell", cell, "--seed", "99")
         assert tree_bytes(out / "sim") == env_tree
+
+
+def edit_rows(data: Path, cell_id: str, edit):
+    """Rewrite the dataset rows of `cell_id` as `edit(rows)` returns them."""
+    lines = data.read_text().splitlines()
+    rows = [line for line in lines[1:] if line.startswith(cell_id + ",")]
+    others = [line for line in lines[1:] if not line.startswith(cell_id + ",")]
+    data.write_text("\n".join([lines[0], *others, *edit(rows)]) + "\n")
+
+
+def scale_late_row(rows):
+    row = rows[200].split(",")
+    row[3] = repr(float(row[3]) * 1.3)
+    return rows[:200] + [",".join(row)] + rows[201:]
+
+
+# (command, config overrides, CELL_TWIN_SEED, dataset edit, fleet_fit.json edit, exit code, stderr must name)
+BAD_INPUTS = {
+    "stride_0": ("simulate", {"schedule": {"stride": 0}}, None, None, None, 2, "schedule.stride"),
+    "window_0": ("ingest", {"normalize_window": 0}, None, None, None, 2, "normalize_window"),
+    "discharge_rate_0": ("retire", {"discharge_rate_c": 0}, None, None, None, 2, "discharge_rate_c"),
+    "seed_env_abc": ("simulate", {}, "abc", None, None, 2, "CELL_TWIN_SEED"),
+    "workers_str": ("simulate", {"workers": "2"}, None, None, None, 2, "workers"),
+    "workers_0": ("simulate", {"workers": 0}, None, None, None, 2, "workers"),
+    "workers_neg": ("simulate", {"workers": -1}, None, None, None, 2, "workers"),
+    "particles_float": ("simulate", {"filter": {"n_particles": 150.5}}, None, None, None, 2, "n_particles"),
+    "cycles_float": ("simulate", {"schedule": {"cycles": [100.5, 200]}}, None, None, None, 2, "schedule.cycles"),
+    "q_above_bound": ("ingest", {}, None, ("train_c000", scale_late_row), None, 3, "train_c000"),
+    "cell_too_short": ("ingest", {}, None, ("train_c001", lambda rows: rows[:20]), None, 3, "train_c001"),
+    "fit_truncated": ("simulate", {}, None, None, lambda text: text[:40], 3, "fleet_fit.json"),
+}
+
+
+class TestBadInputExit:
+    """Every bad config value or data file ends in exit 2 or 3 with one message."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_exit_code_and_one_line(self, tmp_path, case):
+        command, overrides, env_seed, data_edit, fit_edit, code, names = BAD_INPUTS[case]
+        good, out = make_config(tmp_path)
+        if command != "ingest":
+            assert run("ingest", good) == 0 and run("calibrate", good) == 0
+        if data_edit is not None:
+            edit_rows(tmp_path / "fleet.csv", *data_edit)
+        if fit_edit is not None:
+            fit = out / "fleet_fit.json"
+            fit.write_text(fit_edit(fit.read_text()))
+        cfg, _ = make_config(tmp_path, out_name="out", **overrides)
+        argv = [command, "--config", str(cfg)] + (["--cell", "test1_c000"] if command == "retire" else [])
+        env = {**os.environ, "PYTHONPATH": str(Path(cell_twin.__file__).parent.parent)}
+        env.pop("CELL_TWIN_SEED", None)
+        if env_seed is not None:
+            env["CELL_TWIN_SEED"] = env_seed
+        proc = subprocess.run(
+            [sys.executable, "-m", "cell_twin.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        err = proc.stderr.splitlines()
+        assert proc.returncode == code, proc.stderr
+        assert len(err) == 1 and "Traceback" not in proc.stderr and names in err[0]
+        assert err[0].startswith("config error:" if code == 2 else "data error:")
+        if command == "ingest":
+            assert not (out / "cells").exists()

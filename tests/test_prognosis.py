@@ -183,6 +183,7 @@ class TestRul:
     def test_quantiles_monotone(self):
         ens = init(FilterConfig(n_particles=400, seed=19))
         proj = project(ens, 1, 0.5)
-        pred = rul(proj, 300, quantiles=(0.05, 0.25, 0.5, 0.75, 0.95))
-        qs = [pred.rul_quantiles[l] for l in sorted(pred.rul_quantiles)]
+        pred = rul(proj, 300)
+        assert sorted(pred.rul_quantiles) == [0.05, 0.95]
+        qs = [pred.rul_quantiles[0.05], pred.rul_median, pred.rul_quantiles[0.95]]
         assert qs == sorted(qs)

@@ -9,7 +9,7 @@ from cell_twin import (
     optimize_retirement,
     project,
 )
-from cell_twin.errors import EmptyCandidateSet, LengthMismatch, NotTriggered
+from cell_twin.errors import EmptyCandidateSet, IncompleteTrajectory, LengthMismatch, NotTriggered
 from cell_twin.retirement import UtilityPoint, _hybrid_trajectory
 from cell_twin.utility import Attribute, mtbc
 from test_prognosis import make_ensemble
@@ -110,6 +110,14 @@ class TestOptimizeRetirement:
         with pytest.raises(LengthMismatch):
             optimize_retirement(trace, ens, [], current=300)
 
+    def test_gap_in_measured_prefix_rejected(self):
+        # total Ah sums every cycle up to a candidate, so a missing cycle cannot be scanned
+        trace = fading_trace()
+        gappy = NormalizedTrace("c", np.delete(trace.cycles, 10), np.delete(trace.q, 10), trace.q0_ah)
+        ens = make_ensemble([-15.77], [5.45], last_cycle=300)
+        with pytest.raises(IncompleteTrajectory):
+            optimize_retirement(gappy, ens, specs_for(200, 500), current=300)
+
     def test_ah_saturated_retires_earliest(self):
         # throughput utility pinned at 1 for every candidate: optimum = current
         trace = fading_trace()
@@ -191,7 +199,7 @@ class TestMatchesScalarReference:
         "uneven_three": [
             AttributeSpec("ah", make_exp_utility(150, 400, 80), Attribute.TOTAL_AH, 0.2),
             AttributeSpec("mtbc", make_exp_utility(0.2, 0.25, 0.01), Attribute.MEAN_TIME_BETWEEN_CHARGES, 0.5),
-            AttributeSpec("ah_wide", make_exp_utility(100, 900, 400, clamp=False), Attribute.TOTAL_AH, 0.3),
+            AttributeSpec("ah_wide", make_exp_utility(100, 900, 400), Attribute.TOTAL_AH, 0.3),
         ],
     }
 

@@ -7,9 +7,8 @@ from cell_twin import (
     default_attribute_specs,
     make_exp_utility,
     mtbc,
-    total_ah,
 )
-from cell_twin.errors import DegenerateBounds, IncompleteTrajectory, LengthMismatch, NonPositiveRisk
+from cell_twin.errors import DegenerateBounds, LengthMismatch, NonPositiveRisk
 from cell_twin.utility import Attribute
 
 
@@ -66,33 +65,6 @@ class TestEvalUtility:
         grid = np.linspace(0.15, 0.30, 200)
         vals = np.array([u.value(v) for v in grid])
         assert np.all(np.diff(vals) >= 0)
-
-    def test_unclamped_exceeds_one(self):
-        u = make_exp_utility(300, 1000, 200, clamp=False)
-        assert u.value(1e6) == pytest.approx(u.sigma_coef)
-
-
-class TestTotalAh:
-    def test_constant_trace(self):
-        assert total_ah(np.ones(100), 1.1, 100) == pytest.approx(110.0)
-
-    def test_average_level(self):
-        assert total_ah(np.full(750, 0.95), 1.1, 750) == pytest.approx(0.95 * 1.1 * 750)
-        assert 300 < total_ah(np.full(750, 0.95), 1.1, 750) < 1000
-
-    def test_empty_sum(self):
-        assert total_ah(np.ones(10), 1.1, 0) == 0.0
-
-    def test_incomplete(self):
-        with pytest.raises(IncompleteTrajectory):
-            total_ah(np.ones(5), 1.1, 10)
-
-    def test_additive(self):
-        rng = np.random.default_rng(29)
-        q = rng.uniform(0.5, 1.0, 100)
-        full = total_ah(q, 1.1, 100)
-        part = total_ah(q, 1.1, 60) + float(np.sum(q[60:100]) * 1.1)
-        assert full == pytest.approx(part)
 
 
 class TestMtbc:

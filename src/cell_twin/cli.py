@@ -82,7 +82,7 @@ def load_config(path, seed_override: int | None = None, out_override: str | None
                     name=u["name"],
                     utility=utility.make_exp_utility(u["l_u"], u["h_u"], u["r"]),
                     extractor=utility.Attribute(u["extractor"]),
-                    weight=u["weight"],
+                    weight=_checked("utilities.weight", u["weight"], 0),
                 )
             )
         if not specs:
@@ -156,18 +156,26 @@ def cell_seed(base_seed: int, cell_id: str) -> int:
 
 # --- preprocessing shared by commands ---
 
-def load_traces(cfg: RunConfig) -> dict[str, tuple[dataset.Split, dataset.NormalizedTrace]]:
-    out = {}
-    path = cfg.output_dir / "manifest.json"
+def decoded(path: Path, decode):
+    """`decode(text of path)`; a file that does not decode is a DataError naming it."""
     try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-        for cell_id, split_name in sorted(manifest.items()):
-            path = cfg.output_dir / "cells" / f"{cell_id}.json"
-            trace = dataset.NormalizedTrace.from_json_dict(json.loads(path.read_text(encoding="utf-8")))
-            out[cell_id] = (dataset.Split(split_name), trace)
-    except (AttributeError, KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
+        return decode(path.read_text(encoding="utf-8"))
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
         raise DataError(f"{path}: corrupted ({type(e).__name__}: {e})") from None
-    return out
+
+
+def load_traces(cfg: RunConfig) -> dict[str, tuple[dataset.Split, dataset.NormalizedTrace]]:
+    manifest = decoded(
+        cfg.output_dir / "manifest.json",
+        lambda text: {c: dataset.Split(s) for c, s in sorted(json.loads(text).items())},
+    )
+    return {
+        cell_id: (split, decoded(
+            cfg.output_dir / "cells" / f"{cell_id}.json",
+            lambda text: dataset.NormalizedTrace.from_json_dict(json.loads(text)),
+        ))
+        for cell_id, split in manifest.items()
+    }
 
 
 def with_fleet_fit(cfg: RunConfig) -> RunConfig:
@@ -175,10 +183,7 @@ def with_fleet_fit(cfg: RunConfig) -> RunConfig:
     path = cfg.output_dir / "fleet_fit.json"
     if not path.exists():
         return cfg
-    try:
-        fit = calib.FleetFit.from_json(path.read_text(encoding="utf-8"))
-    except (AttributeError, KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
-        raise DataError(f"{path}: corrupted ({type(e).__name__}: {e})") from None
+    fit = decoded(path, calib.FleetFit.from_json)
     return replace(cfg, filter=replace(cfg.filter, init_log10_a=fit.median_log10_a, init_b=fit.median_b))
 
 
@@ -315,6 +320,14 @@ def cmd_retire(cfg: RunConfig, cell_id: str, current: int | None) -> int:
     return EXIT_OK
 
 
+def eol_table(text: str) -> prognosis.EolDistribution:
+    """An `eol_*.csv` written by simulate; a truncated one fails the weight sum."""
+    rows = np.loadtxt(text.splitlines(), delimiter=",", skiprows=1, ndmin=2)
+    if rows.shape[1] != 2 or not np.all(np.isfinite(rows)) or not abs(rows[:, 1].sum() - 1.0) <= 1e-9:
+        raise ValueError(f"expected finite (eol_cycle, weight) rows, weights summing to 1; got shape {rows.shape}")
+    return prognosis.EolDistribution(rows[:, 0], rows[:, 1])
+
+
 def cmd_evaluate(cfg: RunConfig) -> int:
     traces = load_traces(cfg)
     sim_root = cfg.output_dir / "sim"
@@ -325,17 +338,18 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     dists = []
     observed_eols = []
     for cell_id in simulated:
+        if cell_id not in traces:
+            raise DataError(f"{sim_root / cell_id}: cell {cell_id!r} is not in manifest.json (stale simulate output?)")
         trace = traces[cell_id][1]
-        with open(sim_root / cell_id / "predictions.json", encoding="utf-8") as f:
-            preds = [
-                prognosis.RulPrediction(
-                    at_cycle=p["at_cycle"],
-                    rul_median=p["rul_median"],
-                    rul_quantiles={float(k): v for k, v in p["rul_quantiles"].items()},
-                    eol_threshold=p["eol_threshold"],
-                )
-                for p in json.load(f)
-            ]
+        preds = decoded(sim_root / cell_id / "predictions.json", lambda text: [
+            prognosis.RulPrediction(
+                at_cycle=p["at_cycle"],
+                rul_median=p["rul_median"],
+                rul_quantiles={float(k): v for k, v in p["rul_quantiles"].items()},
+                eol_threshold=p["eol_threshold"],
+            )
+            for p in json.loads(text)
+        ])
         if not preds:
             continue
         series = evaluation.rul_errors(trace, preds, cfg.eol)
@@ -345,8 +359,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             ([p.cycle, p.true_rul, p.predicted_rul_median, p.signed_error] for p in series.points),
         )
         first_k = preds[0].at_cycle
-        eol_rows = np.loadtxt(sim_root / cell_id / f"eol_{first_k:06d}.csv", delimiter=",", skiprows=1)
-        dists.append(prognosis.EolDistribution(eol_rows[:, 0], eol_rows[:, 1]))
+        dists.append(decoded(sim_root / cell_id / f"eol_{first_k:06d}.csv", eol_table))
         observed_eols.append(float(series.true_eol))
 
     if not dists:

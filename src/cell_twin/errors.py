@@ -53,6 +53,10 @@ class DegenerateWeights(CellTwinError):
     pass
 
 
+class InvalidObservation(DataError):
+    pass
+
+
 # --- utility / retirement ---
 
 class DegenerateBounds(ConfigError):

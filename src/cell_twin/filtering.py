@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import NormalizedTrace
-from .errors import DegenerateWeights
+from .errors import DegenerateWeights, InvalidObservation
 from .model import _LN10, NoiseSpec, PowerLawParams, fade_q, gaussian_log_lik
 
 
@@ -129,9 +129,9 @@ def systematic_resample(weights: np.ndarray, u: float) -> np.ndarray:
 def step(ens: ParticleEnsemble, k: int, q_obs: float, noise: NoiseSpec) -> ParticleEnsemble:
     """One predict / update / resample cycle against measurement (k, q_obs)."""
     if not np.isfinite(q_obs):
-        raise ValueError(f"q_obs must be finite, got {q_obs!r}")
+        raise InvalidObservation(f"q_obs must be finite, got {q_obs!r}")
     if k <= ens.last_cycle:
-        raise ValueError(f"cycle {k} not after last assimilated cycle {ens.last_cycle}")
+        raise InvalidObservation(f"cycle {k} not after last assimilated cycle {ens.last_cycle}")
 
     n = ens.n
     # predict: random walk on (log10 a, b), b reflected at zero

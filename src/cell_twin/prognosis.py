@@ -17,20 +17,47 @@ from .filtering import ParticleEnsemble
 from .model import _LN10, eol_cycles, fade_q
 
 
+BAND_BLOCK = 64  # columns per band block: band memory is particles x BAND_BLOCK, whatever the horizon
+BAND_LEVELS = (0.05, 0.5, 0.95)
+
+
 @dataclass(frozen=True)
 class CapacityProjection:
     from_cycle: int
     horizon_cycle: int
-    median_q: np.ndarray                       # per cycle, floored at eol_threshold
-    q05: np.ndarray                            # 5% band, floored likewise
-    q95: np.ndarray                            # 95% band, floored likewise
     per_particle_eol: np.ndarray
     eol_weights: np.ndarray
     eol_threshold: float
+    ln_a: np.ndarray                           # own arrays: `step` changes the ensemble in place
+    b: np.ndarray
 
     @property
     def cycles(self) -> np.ndarray:
         return np.arange(self.from_cycle, self.horizon_cycle + 1)
+
+    @property
+    def bands(self) -> np.ndarray:
+        """(3, horizon) 5/50/95% bands per cycle, floored at eol_threshold; built on first read.
+
+        Cached in the instance `__dict__` rather than by `functools.cached_property`,
+        whose per-class lock (Python <= 3.11) would serialise simulate's threads.
+        """
+        bands = self.__dict__.get("_bands")
+        if bands is None:
+            bands = self.__dict__["_bands"] = _bands(self)
+        return bands
+
+    @property
+    def q05(self) -> np.ndarray:
+        return self.bands[0]
+
+    @property
+    def median_q(self) -> np.ndarray:
+        return self.bands[1]
+
+    @property
+    def q95(self) -> np.ndarray:
+        return self.bands[2]
 
 
 @dataclass(frozen=True)
@@ -77,46 +104,56 @@ def weighted_quantile(values: np.ndarray, weights: np.ndarray, level: float) -> 
     return EolDistribution(values, weights).quantile(level)
 
 
+def _bands(proj: CapacityProjection) -> np.ndarray:
+    """Per-cycle weighted lower quantiles of the frozen-parameter trajectories, BAND_BLOCK columns at a time.
+
+    Each block's rows are first put in the order of its first column, so the
+    stable per-column argsort works on nearly sorted data.  Rows tied in the
+    first column keep their particle order, so identical particles (as after
+    a resample) add their weights in the order a stable sort of each whole
+    column would, and the bands are bitwise those of that sort.
+    """
+    ln_k = np.log(proj.cycles)
+    out = np.empty((len(BAND_LEVELS), len(ln_k)))
+    for start in range(0, len(ln_k), BAND_BLOCK):
+        traj = fade_q(proj.ln_a[:, None], proj.b[:, None], ln_k[start:start + BAND_BLOCK])
+        rows = np.argsort(traj[:, 0], kind="stable")
+        traj = traj[rows]
+        order = np.argsort(traj, axis=0, kind="stable")
+        cum = proj.eol_weights[rows][order]
+        np.cumsum(cum, axis=0, out=cum)
+        cum[-1, :] = 1.0
+        cols = np.arange(traj.shape[1])
+        for band, level in zip(out, BAND_LEVELS):
+            band[start:start + BAND_BLOCK] = traj[order[_lower_index(cum, level), cols], cols]
+    return np.maximum(out, proj.eol_threshold, out=out)
+
+
 def project(
     ens: ParticleEnsemble,
     from_cycle: int,
     eol_threshold: float = 0.5,
 ) -> CapacityProjection:
-    """Roll every particle forward deterministically and summarize.
+    """Freeze every particle's parameters and summarize its end of life.
 
-    The 5/50/95% bands are per-cycle weighted lower quantiles, the rule of
-    `EolDistribution.quantile`.  The horizon is capped at the weighted 99th
-    percentile of the per-particle analytic EOLs to bound output size.
+    The horizon is capped at the weighted 99th percentile of the
+    per-particle analytic EOLs to bound output size.  The 5/50/95% bands
+    (per-cycle weighted lower quantiles, the rule of
+    `EolDistribution.quantile`) are built only when read.
     """
     if from_cycle < ens.last_cycle:
         raise ValueError("cannot project from before the last assimilated cycle")
     ln_a = _LN10 * ens.log10_a
     eols = eol_cycles(ln_a, ens.b, eol_threshold)
     horizon = int(math.ceil(weighted_quantile(eols, ens.weights, 0.99)))
-    horizon = max(horizon, from_cycle)
-
-    cycles = np.arange(from_cycle, horizon + 1)
-    # (n_particles, n_cycles) trajectory matrix, frozen parameters
-    traj = fade_q(ln_a[:, None], ens.b[:, None], np.log(cycles))
-
-    order = np.argsort(traj, axis=0, kind="stable")
-    cum = ens.weights[order]
-    np.cumsum(cum, axis=0, out=cum)  # in place: one particles x horizon buffer fewer
-    cum[-1, :] = 1.0
-    cols = np.arange(len(cycles))
-
-    def band(level: float) -> np.ndarray:
-        return np.maximum(traj[order[_lower_index(cum, level), cols], cols], eol_threshold)
-
     return CapacityProjection(
         from_cycle=from_cycle,
-        horizon_cycle=horizon,
-        median_q=band(0.5),
-        q05=band(0.05),
-        q95=band(0.95),
+        horizon_cycle=max(horizon, from_cycle),
         per_particle_eol=eols,
         eol_weights=ens.weights.copy(),
         eol_threshold=eol_threshold,
+        ln_a=ln_a,
+        b=ens.b.copy(),
     )
 
 

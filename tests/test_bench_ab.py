@@ -1,0 +1,65 @@
+"""tools/bench_ab.py: the verdict rule on made-up runs, and one tiny run of two checkouts."""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+_spec = importlib.util.spec_from_file_location("bench_ab", ROOT / "tools" / "bench_ab.py")
+bench_ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_ab)
+
+
+def runs(throughputs):
+    metrics = {m["name"]: 1.0 for m in SPEC["end_to_end"]}
+    return [{"metrics": {**metrics, "throughput_per_s": t}} for t in throughputs]
+
+
+def verdict(parent, change):
+    rows = bench_ab.compare(runs(parent), runs(change), SPEC)
+    return next(r for r in rows if r[0] == "throughput_per_s")
+
+
+def test_seed_range():
+    assert bench_ab.seed_range("1-10") == list(range(1, 11))
+    assert bench_ab.seed_range("3") == [3]
+    assert bench_ab.seed_range("1,4-5") == [1, 4, 5]
+
+
+@pytest.mark.parametrize(
+    "parent, change, wins, expect",
+    [
+        ([100.0] * 10, [150.0] * 10, "10/10", "gain"),
+        ([100.0] * 10, [150.0] * 8 + [90.0] * 2, "8/10", "within"),  # fewer than 9 of 10 pairs won
+        ([100.0] * 10, [120.0] * 10, "10/10", "within"),  # better, but by less than the 0.24 bound
+        ([100.0] * 10, [70.0] * 10, "0/10", "WORSE"),
+        ([100.0] * 10, [100.0] * 10, "0/10", "within"),  # ties count for neither side
+    ],
+)
+def test_verdict(parent, change, wins, expect):
+    row = verdict(parent, change)
+    assert row[6] == wins and row[7] == expect
+
+
+def test_gain_needs_more_than_the_parent_iqr():
+    parent = [60.0, 60.0, 60.0, 100.0, 100.0, 100.0, 140.0, 140.0, 140.0, 140.0]
+    row = verdict(parent, [p * 1.3 for p in parent])  # median +30%, every pair won, parent IQR 70 > 30
+    assert row[6] == "10/10" and row[7] == "within"
+
+
+def test_tiny_run_of_one_checkout_against_itself():
+    out = subprocess.run(
+        [sys.executable, "tools/bench_ab.py", ".", ".", "--tiny", "--seeds", "2", "--workloads", "online_mixed"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert out.returncode == 0, out.stderr
+    for m in SPEC["end_to_end"]:
+        assert f"| {m['name']} |" in out.stdout
+    assert "rul_medae_cycles equal per seed: yes" in out.stdout
+    assert len(out.stderr.splitlines()) == 2  # one result line per side

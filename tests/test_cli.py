@@ -284,7 +284,23 @@ def scale_late_row(rows):
     return rows[:200] + [",".join(row)] + rows[201:]
 
 
-# (command, config overrides, CELL_TWIN_SEED, dataset edit, fleet_fit.json edit, exit code, stderr must name)
+def cut_to(path: Path, n: int):
+    path.write_text(path.read_text()[:n])
+
+
+def truncate(pattern: str, at_line: bool = False):
+    """An output edit that cuts the first file matching `pattern` to about half its length,
+    at a line end if `at_line` (the rest still parses)."""
+    def edit(out: Path):
+        path = sorted(out.glob(pattern))[0]
+        text = path.read_text()
+        cut_to(path, text.rindex("\n", 0, len(text) // 2) + 1 if at_line else len(text) // 2)
+    return edit
+
+
+SPEC = {"name": "total_ah", "l_u": 300.0, "h_u": 1000.0, "r": 200.0, "extractor": "total_ah"}
+
+# (command, config overrides, CELL_TWIN_SEED, dataset edit, edit of earlier outputs, exit code, stderr must name)
 BAD_INPUTS = {
     "stride_0": ("simulate", {"schedule": {"stride": 0}}, None, None, None, 2, "schedule.stride"),
     "window_0": ("ingest", {"normalize_window": 0}, None, None, None, 2, "normalize_window"),
@@ -297,7 +313,16 @@ BAD_INPUTS = {
     "cycles_float": ("simulate", {"schedule": {"cycles": [100.5, 200]}}, None, None, None, 2, "schedule.cycles"),
     "q_above_bound": ("ingest", {}, None, ("train_c000", scale_late_row), None, 3, "train_c000"),
     "cell_too_short": ("ingest", {}, None, ("train_c001", lambda rows: rows[:20]), None, 3, "train_c001"),
-    "fit_truncated": ("simulate", {}, None, None, lambda text: text[:40], 3, "fleet_fit.json"),
+    "fit_truncated": (
+        "simulate", {}, None, None, lambda out: cut_to(out / "fleet_fit.json", 40), 3, "fleet_fit.json"
+    ),
+    "weight_str": ("retire", {"utilities": [{**SPEC, "weight": "x"}]}, None, None, None, 2, "weight"),
+    "weight_0": ("retire", {"utilities": [{**SPEC, "weight": 0}]}, None, None, None, 2, "weight"),
+    "sim_dir_stale": ("evaluate", {}, None, None, lambda out: (out / "sim" / "ghost").mkdir(), 3, "ghost"),
+    "predictions_truncated": (
+        "evaluate", {}, None, None, truncate("sim/test1_c000/predictions.json"), 3, "predictions.json"
+    ),
+    "eol_truncated": ("evaluate", {}, None, None, truncate("sim/test1_c000/eol_*.csv", at_line=True), 3, "eol_"),
 }
 
 
@@ -306,15 +331,16 @@ class TestBadInputExit:
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
     def test_exit_code_and_one_line(self, tmp_path, case):
-        command, overrides, env_seed, data_edit, fit_edit, code, names = BAD_INPUTS[case]
+        command, overrides, env_seed, data_edit, out_edit, code, names = BAD_INPUTS[case]
         good, out = make_config(tmp_path)
         if command != "ingest":
             assert run("ingest", good) == 0 and run("calibrate", good) == 0
+        if command == "evaluate":
+            assert run("simulate", good) == 0
         if data_edit is not None:
             edit_rows(tmp_path / "fleet.csv", *data_edit)
-        if fit_edit is not None:
-            fit = out / "fleet_fit.json"
-            fit.write_text(fit_edit(fit.read_text()))
+        if out_edit is not None:
+            out_edit(out)
         cfg, _ = make_config(tmp_path, out_name="out", **overrides)
         argv = [command, "--config", str(cfg)] + (["--cell", "test1_c000"] if command == "retire" else [])
         env = {**os.environ, "PYTHONPATH": str(Path(cell_twin.__file__).parent.parent)}

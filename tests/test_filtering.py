@@ -15,7 +15,7 @@ from cell_twin import (
     posterior_summary,
     step,
 )
-from cell_twin.errors import DegenerateWeights
+from cell_twin.errors import DegenerateWeights, InvalidObservation
 from cell_twin.filtering import systematic_resample
 from conftest import power_law_trace
 
@@ -79,7 +79,7 @@ class TestStep:
     def test_nan_observation_rejected_before_predict(self):
         ens = two_particle_ensemble([-15.77, -15.0], [5.45, 5.0])
         before = ens.log10_a.copy()
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidObservation):
             step(ens, 1, float("nan"), NoiseSpec())
         assert np.array_equal(ens.log10_a, before)
 
@@ -103,7 +103,7 @@ class TestStep:
     def test_non_advancing_cycle_rejected(self):
         ens = two_particle_ensemble([-15.77, -15.0], [5.45, 5.0])
         step(ens, 5, 1.0, NoiseSpec())
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidObservation):
             step(ens, 5, 1.0, NoiseSpec())
 
 

@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cell_twin import FilterConfig, analytic_eol, capacity, eol_distribution, init, project, rul
+from cell_twin import FilterConfig, NoiseSpec, analytic_eol, assimilate, capacity, eol_distribution, init, project, rul
 from cell_twin.filtering import ParticleEnsemble
 from cell_twin.model import _LN10, fade_q
-from cell_twin.prognosis import weighted_quantile
+from cell_twin.prognosis import BAND_BLOCK, EolDistribution, weighted_quantile
+from conftest import power_law_trace
 
 finite_values = st.one_of(st.integers(-5, 5).map(float), st.floats(-1e6, 1e6))
 
@@ -94,22 +97,36 @@ class TestProject:
             max(weighted_quantile(vals, ens.weights, 0.5), 0.5)
         )
 
+    @settings(deadline=None)
     @given(
         st.lists(st.tuples(st.integers(0, 3), st.integers(1, 10)), min_size=1, max_size=8),
         st.lists(st.tuples(st.floats(-16.2, -15.3), st.floats(5.0, 6.0)), min_size=4, max_size=4),
-        st.integers(200, 1500),
+        st.integers(1, 1500),
     )
     def test_bands_equal_column_quantiles(self, picks, pool, from_cycle):
-        # particles drawn from a pool of 4, so some are tied; weights uneven
+        # particles drawn from a pool of 4, so some are tied; weights uneven;
+        # early starts give horizons of up to ~20 band blocks
         counts = np.array([c for _, c in picks], dtype=float)
         ens = make_ensemble(
             [pool[i][0] for i, _ in picks], [pool[i][1] for i, _ in picks], counts / counts.sum(), from_cycle
         )
         proj = project(ens, from_cycle, 0.5)
         traj = fade_q(_LN10 * ens.log10_a[:, None], ens.b[:, None], np.log(proj.cycles))
+        dists = [EolDistribution(col, ens.weights) for col in traj.T]
         for band, level in [(proj.q05, 0.05), (proj.median_q, 0.5), (proj.q95, 0.95)]:
-            assert band.tolist() == [max(weighted_quantile(col, ens.weights, level), 0.5) for col in traj.T]
+            assert band.tolist() == [max(d.quantile(level), 0.5) for d in dists]
         assert np.all(proj.q05 <= proj.median_q) and np.all(proj.median_q <= proj.q95)
+
+    def test_bands_ignore_later_steps(self):
+        # `step` changes log10_a and b in place; a projection keeps its own
+        trace = power_law_trace(n_cycles=200, noise_std=0.01, seed=4)
+        ens = init(FilterConfig(n_particles=300, seed=4))
+        assimilate(ens, trace, 100, NoiseSpec())
+        read_now, read_later = project(ens, 100, 0.5), project(ens, 100, 0.5)
+        bands = read_now.bands.copy()
+        assimilate(ens, trace, 200, NoiseSpec())
+        assert np.array_equal(read_later.bands, bands)
+        assert read_later.bands.shape == (3, read_later.horizon_cycle - 100 + 1)
 
     def test_projection_pure(self):
         ens = make_ensemble([-15.77, -15.5], [5.45, 5.2])
@@ -123,6 +140,48 @@ class TestProject:
         deep = project(ens, 1, 0.5).per_particle_eol
         shallow = project(ens, 1, 0.8).per_particle_eol
         assert np.all(deep > shallow)
+
+
+def full_matrix_bands(proj) -> np.ndarray:
+    """Reference: the 5/50/95% bands from one particles x horizon matrix and its stable sort."""
+    traj = fade_q(proj.ln_a[:, None], proj.b[:, None], np.log(proj.cycles))
+    order = np.argsort(traj, axis=0, kind="stable")
+    cum = np.cumsum(proj.eol_weights[order], axis=0)
+    cum[-1, :] = 1.0
+    cols = np.arange(traj.shape[1])
+    return np.array([
+        np.maximum(traj[order[np.minimum((cum < level).sum(axis=0), len(cum) - 1), cols], cols], proj.eol_threshold)
+        for level in (0.05, 0.5, 0.95)
+    ])
+
+
+class TestYoungTwin:
+    """A twin 50 cycles into its life: a wide posterior and a long horizon."""
+
+    @pytest.fixture(scope="class")
+    def ens(self):
+        ens = init(FilterConfig(n_particles=1000, seed=0))
+        return assimilate(ens, power_law_trace(n_cycles=50, noise_std=0.01, seed=0), 50, NoiseSpec())
+
+    def test_bands_equal_full_matrix_reference(self, ens):
+        proj = project(ens, 50, 0.5)
+        assert proj.horizon_cycle - 50 > 50 * BAND_BLOCK
+        assert np.array_equal(proj.bands, full_matrix_bands(proj))
+
+    def test_memory_bounded_by_block_not_horizon(self, ens):
+        tracemalloc.start()
+        try:
+            proj = project(ens, 50, 0.5)
+            rul(proj, 50)
+            rul_peak = tracemalloc.get_traced_memory()[1]
+            proj.median_q
+            band_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix_bytes = 8 * len(ens.weights) * (proj.horizon_cycle - 50 + 1)  # one particles x horizon float64 array
+        assert matrix_bytes > 50e6
+        assert rul_peak < 1e6
+        assert band_peak < 16e6
 
 
 class TestEolDistribution:

@@ -1,0 +1,144 @@
+"""Compare the benchmark of two checkouts in interleaved seed pairs.
+
+    python3 tools/bench_ab.py PARENT CHANGE [--workloads fleet_batch,online_mixed,retire_sweep] [--seeds 1-10]
+
+For every seed and workload, runs `python3 perfbench/run.py --workload W
+--seed S --trace 0` once with PARENT and once with CHANGE as the working
+directory, so each side imports its own `src/` through its own harness.
+Which side runs first alternates from seed to seed.  Then prints, per
+workload and end-to-end metric of BENCHMARK.json (read from CHANGE):
+both medians, the parent's interquartile range, the relative change, the
+bound, the number of pairs the change won (ties count for neither) and
+a verdict:
+
+- `gain`: the change won at least 9 of 10 pairs, and its median is better
+  by more than the parent's interquartile range and by more than the bound;
+- `WORSE`: its median is worse by more than the bound;
+- `within`: anything else.
+
+It also checks that `rul_medae_cycles` is equal per seed and that no
+operation failed on either side, and it refuses to compare runs whose
+nproc, Python or numpy versions differ.  Each run's result goes to
+stderr as one JSON line while the comparison proceeds.  Exit status: 0
+when both checks hold, 1 when one fails, 2 when the runs cannot be
+compared.
+
+`--tiny` runs the harness's smoke sizes for 1 s: a check of this tool,
+not a measurement.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SAME_HOST_KEYS = ("nproc", "python", "numpy")
+
+
+def seed_range(text: str) -> list[int]:
+    """'1-10' or '3' or '1,4,7' as a list of seeds."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def run_bench(checkout: Path, workload: str, seed: int, tiny: bool) -> dict:
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
+    if tiny:
+        argv += ["--tiny", "--seconds", "1"]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2 or not lines[-2].startswith("record "):
+        sys.exit(f"bench_ab: {checkout}: {workload} seed {seed} exited {proc.returncode}\n{proc.stderr}")
+    result = json.loads(lines[-1])
+    record = json.loads(lines[-2][len("record "):])
+    return {
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "failed": result["failed"],
+        "attempted": result["attempted"],
+        "host": {k: record[k] for k in SAME_HOST_KEYS},
+    }
+
+
+def quartiles(values: list[float]) -> tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def compare(parent: list[dict], change: list[dict], spec: dict) -> list[list[str]]:
+    """One table row per end-to-end metric of one workload's paired runs."""
+    rows = []
+    for m in spec["end_to_end"]:
+        name, sign = m["name"], (1.0 if m["better"] == "higher" else -1.0)
+        p = [r["metrics"][name] for r in parent]
+        c = [r["metrics"][name] for r in change]
+        p_med, c_med = statistics.median(p), statistics.median(c)
+        q1, q3 = quartiles(p)
+        rel = c_med / p_med - 1.0 if p_med else 0.0
+        wins = sum(sign * (y - x) > 0 for x, y in zip(p, c))
+        if wins >= 0.9 * len(p) and abs(c_med - p_med) > q3 - q1 and sign * rel > m["bound"]:
+            verdict = "gain"
+        elif -sign * rel > m["bound"]:
+            verdict = "WORSE"
+        else:
+            verdict = "within"
+        rows.append([
+            name, f"{p_med:.4g}", f"{c_med:.4g}", f"{q3 - q1:.3g}", f"{100 * rel:+.1f}%",
+            f"{m['bound']:g}", f"{wins}/{len(p)}", verdict,
+        ])
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workloads", default=None, help="comma-separated (default: every workload)")
+    parser.add_argument("--seeds", type=seed_range, default=seed_range("1-10"))
+    parser.add_argument("--tiny", action="store_true", help="smoke sizes for 1 s (checks this tool only)")
+    args = parser.parse_args(argv)
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((sides["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
+
+    runs = {(side, w): [] for side in sides for w in workloads}
+    for i, seed in enumerate(args.seeds):
+        for w in workloads:
+            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                r = run_bench(sides[side], w, seed, args.tiny)
+                runs[side, w].append(r)
+                print(json.dumps({"side": side, "workload": w, "seed": seed, **r}), file=sys.stderr, flush=True)
+
+    hosts = {json.dumps(r["host"], sort_keys=True) for rs in runs.values() for r in rs}
+    if len(hosts) > 1:
+        print(f"bench_ab: runs differ in {', '.join(SAME_HOST_KEYS)}: {sorted(hosts)}", file=sys.stderr)
+        return 2
+
+    header = ["metric", "parent", "change", "parent IQR", "rel. change", "bound", "wins", "verdict"]
+    ok = True
+    print(f"seeds {args.seeds[0]}-{args.seeds[-1]} ({len(args.seeds)} pairs), host {hosts.pop()}")
+    for w in workloads:
+        parent, change = runs["parent", w], runs["change", w]
+        print(f"\n{w}\n\n| " + " | ".join(header) + " |\n|" + "---|" * len(header))
+        for row in compare(parent, change, spec):
+            print("| " + " | ".join(row) + " |")
+        unequal = [s for s, p, c in zip(args.seeds, parent, change)
+                   if p["metrics"]["rul_medae_cycles"] != c["metrics"]["rul_medae_cycles"]]
+        failed = sum(r["failed"] for r in parent), sum(r["failed"] for r in change)
+        attempted = sum(r["attempted"] for r in parent), sum(r["attempted"] for r in change)
+        print(f"\nrul_medae_cycles equal per seed: {'yes' if not unequal else f'no, seeds {unequal}'}; "
+              f"failed {failed[0]}/{attempted[0]} parent, {failed[1]}/{attempted[1]} change")
+        ok = ok and not unequal and failed == (0, 0)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -85,6 +85,9 @@ def load_config(path, seed_override: int | None = None, out_override: str | None
                     weight=_checked("utilities.weight", u["weight"], 0),
                 )
             )
+        names = [spec.name for spec in specs]
+        if len(set(names)) < len(names):
+            raise ConfigError(f"utility names must be unique, got {names}")
         if not specs:
             specs = utility.default_attribute_specs()
         th = raw.get("thresholds", {})
@@ -323,7 +326,8 @@ def cmd_retire(cfg: RunConfig, cell_id: str, current: int | None) -> int:
 def eol_table(text: str) -> prognosis.EolDistribution:
     """An `eol_*.csv` written by simulate; a truncated one fails the weight sum."""
     rows = np.loadtxt(text.splitlines(), delimiter=",", skiprows=1, ndmin=2)
-    if rows.shape[1] != 2 or not np.all(np.isfinite(rows)) or not abs(rows[:, 1].sum() - 1.0) <= 1e-9:
+    if (rows.shape[1] != 2 or not np.all(np.isfinite(rows))
+            or not abs(rows[:, 1].sum() - 1.0) <= filtering.WEIGHT_SUM_TOL):
         raise ValueError(f"expected finite (eol_cycle, weight) rows, weights summing to 1; got shape {rows.shape}")
     return prognosis.EolDistribution(rows[:, 0], rows[:, 1])
 

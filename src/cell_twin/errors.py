@@ -57,6 +57,10 @@ class InvalidObservation(DataError):
     pass
 
 
+class SnapshotError(DataError):
+    pass
+
+
 # --- utility / retirement ---
 
 class DegenerateBounds(ConfigError):

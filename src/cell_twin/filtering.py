@@ -10,6 +10,7 @@ drops below a configurable fraction of the particle count.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass, field
@@ -17,8 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import NormalizedTrace
-from .errors import DegenerateWeights, InvalidObservation
+from .errors import DegenerateWeights, InvalidObservation, SnapshotError
 from .model import _LN10, NoiseSpec, PowerLawParams, fade_q, gaussian_log_lik
+
+SNAPSHOT_VERSION = 2
+WEIGHT_SUM_TOL = 1e-9  # how far stored weights may sum from 1 (snapshots, EOL tables)
 
 
 @dataclass(frozen=True)
@@ -68,31 +72,57 @@ class ParticleEnsemble:
         return 1.0 / float(np.sum(self.weights ** 2))
 
     def to_json(self) -> str:
+        """Version-2 snapshot: a JSON header plus the (3, n) block [log10_a, b, weights]
+        as base64 of little-endian float64."""
+        block = np.stack([self.log10_a, self.b, self.weights]).astype("<f8", copy=False)
         return json.dumps(
             {
+                "version": SNAPSHOT_VERSION,
                 "last_cycle": self.last_cycle,
                 "seed": self.seed,
                 "resample_threshold": self.resample_threshold,
-                "log10_a": self.log10_a.tolist(),
-                "b": self.b.tolist(),
-                "weight": self.weights.tolist(),
                 "rng_state": self.rng.bit_generator.state,
+                "particles": base64.b64encode(block.tobytes()).decode("ascii"),
             }
         )
 
     @classmethod
     def from_json(cls, s: str) -> "ParticleEnsemble":
-        d = json.loads(s)
-        rng = np.random.Generator(np.random.PCG64())
-        rng.bit_generator.state = d["rng_state"]
+        """Restore a `to_json` snapshot, validated first; SnapshotError says what is wrong."""
+        try:
+            d = json.loads(s)
+            if d["version"] != SNAPSHOT_VERSION:
+                raise SnapshotError(f"snapshot version {d['version']!r}, expected {SNAPSHOT_VERSION}")
+            raw = base64.b64decode(d["particles"], validate=True)
+            if len(raw) % 24 or len(raw) < 48:
+                raise SnapshotError(f"particle block of {len(raw)} bytes is not 3 x n >= 2 float64 rows")
+            block = np.frombuffer(raw, "<f8").reshape(3, -1)
+            if not np.all(np.isfinite(block)):
+                raise SnapshotError("particle block holds a non-finite value")
+            # owned, writable copies: the buffer view is read-only and `step` updates in place
+            log10_a, b, weights = (np.array(row, dtype=float) for row in block)
+            if np.any(weights < 0) or not abs(float(np.sum(weights)) - 1.0) <= WEIGHT_SUM_TOL:
+                raise SnapshotError(f"weights must be >= 0 and sum to 1, got sum {float(np.sum(weights))!r}")
+            last_cycle, seed, threshold = d["last_cycle"], d["seed"], d["resample_threshold"]
+            for name, value in (("last_cycle", last_cycle), ("seed", seed)):
+                if type(value) is not int or value < 0:
+                    raise SnapshotError(f"{name} must be an integer >= 0, got {value!r}")
+            if type(threshold) not in (int, float) or not 0.0 < threshold <= 1.0:
+                raise SnapshotError(f"resample_threshold must be in (0, 1], got {threshold!r}")
+            rng = np.random.Generator(np.random.PCG64())
+            rng.bit_generator.state = d["rng_state"]
+        except KeyError as e:
+            raise SnapshotError(f"snapshot lacks {e}") from None
+        except (TypeError, ValueError, OverflowError) as e:  # JSONDecodeError and binascii.Error too
+            raise SnapshotError(f"malformed snapshot: {e}") from None
         return cls(
-            log10_a=np.asarray(d["log10_a"], dtype=float),
-            b=np.asarray(d["b"], dtype=float),
-            weights=np.asarray(d["weight"], dtype=float),
-            last_cycle=int(d["last_cycle"]),
+            log10_a=log10_a,
+            b=b,
+            weights=weights,
+            last_cycle=last_cycle,
             rng=rng,
-            resample_threshold=float(d["resample_threshold"]),
-            seed=int(d["seed"]),
+            resample_threshold=float(threshold),
+            seed=seed,
         )
 
 

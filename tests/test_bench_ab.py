@@ -53,13 +53,25 @@ def test_gain_needs_more_than_the_parent_iqr():
     assert row[6] == "10/10" and row[7] == "within"
 
 
+def test_side_by_side_rows():
+    parent = {"metrics": {m["name"]: 2.0 for m in SPEC["per_layer"]}}
+    change = {"metrics": {**parent["metrics"], "filtering.snapshot_bytes": 1.0, "trace.spans": 0.0}}
+    parent["metrics"]["trace.spans"] = 0.0
+    rows = {r[0]: r for r in bench_ab.side_by_side(parent, change, SPEC)}
+    assert list(rows) == [m["name"] for m in SPEC["per_layer"]]
+    assert rows["filtering.snapshot_bytes"][1:5] == ["B", "2", "1", "-50.0%"]
+    assert rows["trace.spans"][4] == "-"  # no relative change from a zero base
+
+
 def test_tiny_run_of_one_checkout_against_itself():
     out = subprocess.run(
-        [sys.executable, "tools/bench_ab.py", ".", ".", "--tiny", "--seeds", "2", "--workloads", "online_mixed"],
+        [sys.executable, "tools/bench_ab.py", ".", ".", "--tiny", "--seeds", "2", "--workloads", "online_mixed",
+         "--trace"],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
     assert out.returncode == 0, out.stderr
-    for m in SPEC["end_to_end"]:
+    for m in SPEC["end_to_end"] + SPEC["per_layer"]:
         assert f"| {m['name']} |" in out.stdout
     assert "rul_medae_cycles equal per seed: yes" in out.stdout
-    assert len(out.stderr.splitlines()) == 2  # one result line per side
+    assert "online_mixed, traced (--trace 1), seed 2" in out.stdout
+    assert len(out.stderr.splitlines()) == 4  # one result line per side, untraced and traced

@@ -318,6 +318,10 @@ BAD_INPUTS = {
     ),
     "weight_str": ("retire", {"utilities": [{**SPEC, "weight": "x"}]}, None, None, None, 2, "weight"),
     "weight_0": ("retire", {"utilities": [{**SPEC, "weight": 0}]}, None, None, None, 2, "weight"),
+    "utility_name_dup": (
+        "retire", {"utilities": [{**SPEC, "weight": 1.0}, {**SPEC, "extractor": "mtbc", "weight": 1.0}]},
+        None, None, None, 2, "utility names",
+    ),
     "sim_dir_stale": ("evaluate", {}, None, None, lambda out: (out / "sim" / "ghost").mkdir(), 3, "ghost"),
     "predictions_truncated": (
         "evaluate", {}, None, None, truncate("sim/test1_c000/predictions.json"), 3, "predictions.json"

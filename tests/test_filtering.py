@@ -1,7 +1,11 @@
+import base64
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cell_twin import (
     FilterConfig,
@@ -15,7 +19,7 @@ from cell_twin import (
     posterior_summary,
     step,
 )
-from cell_twin.errors import DegenerateWeights, InvalidObservation
+from cell_twin.errors import DataError, DegenerateWeights, InvalidObservation, SnapshotError
 from cell_twin.filtering import systematic_resample
 from conftest import power_law_trace
 
@@ -199,12 +203,113 @@ class TestCredibleIntervalCoverage:
         assert covered >= 80
 
 
+def stepped_ensemble(n, seed, steps, trace):
+    """An n-particle ensemble with uneven weights that has assimilated `steps` cycles."""
+    ens = init(FilterConfig(n_particles=n, seed=seed))
+    w = np.random.default_rng(seed).random(n) + 0.01
+    ens.weights = w / w.sum()
+    assimilate(ens, trace, steps, NoiseSpec())
+    return ens
+
+
+def edited(snapshot: str, **fields) -> str:
+    """`snapshot` with its header fields replaced (a value of None removes the field)."""
+    d = json.loads(snapshot)
+    d.update(fields)
+    return json.dumps({k: v for k, v in d.items() if v is not None})
+
+
+def with_block(snapshot: str, block: np.ndarray) -> str:
+    return edited(snapshot, particles=base64.b64encode(block.astype("<f8").tobytes()).decode("ascii"))
+
+
+def block_of(snapshot: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(json.loads(snapshot)["particles"]), "<f8").reshape(3, -1).copy()
+
+
+def nan_particle(s):
+    block = block_of(s)
+    block[1, 0] = np.nan
+    return with_block(s, block)
+
+
+def weights_times(factor):
+    def edit(s):
+        block = block_of(s)
+        block[2] *= factor
+        return with_block(s, block)
+    return edit
+
+
+def version_1(s):
+    d = json.loads(s)
+    block = block_of(s)
+    return json.dumps({"last_cycle": d["last_cycle"], "seed": d["seed"], "resample_threshold": 0.5,
+                       "log10_a": block[0].tolist(), "b": block[1].tolist(), "weight": block[2].tolist(),
+                       "rng_state": d["rng_state"]})
+
+
+def one_particle(s):
+    block = block_of(s)[:, :1].copy()
+    block[2] = 1.0
+    return with_block(s, block)
+
+
+def rng_state(**fields):
+    return lambda s: edited(s, rng_state={**json.loads(s)["rng_state"], **fields})
+
+
+CORRUPTED = {
+    "version_1_lists": version_1,
+    "version_3": lambda s: edited(s, version=3),
+    "truncated": lambda s: s[: len(s) // 2],
+    "invalid_base64": lambda s: edited(s, particles="@@@@" + json.loads(s)["particles"][4:]),
+    "block_not_multiple_of_24": lambda s: edited(s, particles=base64.b64encode(b"\0" * 56).decode("ascii")),
+    "one_particle": one_particle,
+    "nan_particle": nan_particle,
+    "weights_sum_0.9": weights_times(0.9),
+    "last_cycle_negative": lambda s: edited(s, last_cycle=-1),
+    "last_cycle_fraction": lambda s: edited(s, last_cycle=2.5),
+    "resample_threshold_0": lambda s: edited(s, resample_threshold=0),
+    "rng_state_missing": lambda s: edited(s, rng_state=None),
+    "rng_state_other_generator": rng_state(bit_generator="MT19937"),
+    "rng_state_negative": rng_state(state={"state": -1, "inc": 1}),
+}
+
+TRACE_40 = power_law_trace(n_cycles=40, noise_std=0.01, seed=14)
+
+
 class TestSerialization:
     def test_round_trip_preserves_evolution(self):
-        trace = power_law_trace(n_cycles=40, noise_std=0.01, seed=14)
+        trace = TRACE_40
         ens = init(FilterConfig(n_particles=64, seed=13))
         assimilate(ens, trace, 20, NoiseSpec())
         resumed = ParticleEnsemble.from_json(ens.to_json())
         assimilate(ens, trace, 40, NoiseSpec())
         assimilate(resumed, trace, 40, NoiseSpec())
         assert ens.to_json() == resumed.to_json()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 1000), st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 20))
+    def test_round_trip_is_bitwise(self, n, seed, before, after):
+        ens = stepped_ensemble(n, seed, before, TRACE_40)
+        copy = ParticleEnsemble.from_json(ens.to_json())
+        for name in ("log10_a", "b", "weights"):
+            restored = getattr(copy, name)
+            assert restored.tobytes() == getattr(ens, name).tobytes()
+            assert restored.flags.writeable and restored.base is None  # owned, not a view of the buffer
+        assert copy.rng.bit_generator.state == ens.rng.bit_generator.state
+        for name in ("last_cycle", "seed", "resample_threshold"):
+            assert getattr(copy, name) == getattr(ens, name)
+        assert copy.to_json() == ens.to_json()
+        assimilate(ens, TRACE_40, before + after, NoiseSpec())
+        assimilate(copy, TRACE_40, before + after, NoiseSpec())
+        assert copy.to_json() == ens.to_json()
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTED))
+    def test_corrupted_snapshot_raises_snapshot_error(self, case):
+        good = stepped_ensemble(16, 5, 10, TRACE_40).to_json()
+        ParticleEnsemble.from_json(good)
+        with pytest.raises(SnapshotError) as info:
+            ParticleEnsemble.from_json(CORRUPTED[case](good))
+        assert isinstance(info.value, DataError) and str(info.value)

@@ -1,6 +1,6 @@
 """Compare the benchmark of two checkouts in interleaved seed pairs.
 
-    python3 tools/bench_ab.py PARENT CHANGE [--workloads fleet_batch,online_mixed,retire_sweep] [--seeds 1-10]
+    python3 tools/bench_ab.py PARENT CHANGE [--workloads fleet_batch,online_mixed,retire_sweep] [--seeds 1-10] [--trace]
 
 For every seed and workload, runs `python3 perfbench/run.py --workload W
 --seed S --trace 0` once with PARENT and once with CHANGE as the working
@@ -22,6 +22,11 @@ nproc, Python or numpy versions differ.  Each run's result goes to
 stderr as one JSON line while the comparison proceeds.  Exit status: 0
 when both checks hold, 1 when one fails, 2 when the runs cannot be
 compared.
+
+With `--trace`, it then runs `--trace 1` once per side and workload on
+the first seed and prints every per-layer metric of BENCHMARK.json side
+by side, with the relative change: one traced run each, so it shows where
+a gain lands, not whether it is beyond the noise.
 
 `--tiny` runs the harness's smoke sizes for 1 s: a check of this tool,
 not a measurement.
@@ -48,14 +53,14 @@ def seed_range(text: str) -> list[int]:
     return seeds
 
 
-def run_bench(checkout: Path, workload: str, seed: int, tiny: bool) -> dict:
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
+def run_bench(checkout: Path, workload: str, seed: int, tiny: bool, trace: int = 0) -> dict:
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", str(trace)]
     if tiny:
         argv += ["--tiny", "--seconds", "1"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2 or not lines[-2].startswith("record "):
-        sys.exit(f"bench_ab: {checkout}: {workload} seed {seed} exited {proc.returncode}\n{proc.stderr}")
+        sys.exit(f"bench_ab: {checkout}: {workload} seed {seed} trace {trace} exited {proc.returncode}\n{proc.stderr}")
     result = json.loads(lines[-1])
     record = json.loads(lines[-2][len("record "):])
     return {
@@ -97,12 +102,29 @@ def compare(parent: list[dict], change: list[dict], spec: dict) -> list[list[str
     return rows
 
 
+def side_by_side(parent: dict, change: dict, spec: dict) -> list[list[str]]:
+    """One table row per per-layer metric of one traced run per side."""
+    rows = []
+    for m in spec["per_layer"]:
+        p, c = parent["metrics"][m["name"]], change["metrics"][m["name"]]
+        rel = f"{100 * (c / p - 1.0):+.1f}%" if p else "-"
+        rows.append([m["name"], m["unit"], f"{p:.4g}", f"{c:.4g}", rel, m["better"]])
+    return rows
+
+
+def print_table(header: list[str], rows: list[list[str]]):
+    print("| " + " | ".join(header) + " |\n|" + "---|" * len(header))
+    for row in rows:
+        print("| " + " | ".join(row) + " |")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--workloads", default=None, help="comma-separated (default: every workload)")
     parser.add_argument("--seeds", type=seed_range, default=seed_range("1-10"))
+    parser.add_argument("--trace", action="store_true", help="then one traced run per side on the first seed")
     parser.add_argument("--tiny", action="store_true", help="smoke sizes for 1 s (checks this tool only)")
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -116,8 +138,15 @@ def main(argv=None) -> int:
                 r = run_bench(sides[side], w, seed, args.tiny)
                 runs[side, w].append(r)
                 print(json.dumps({"side": side, "workload": w, "seed": seed, **r}), file=sys.stderr, flush=True)
+    traced = {}
+    if args.trace:
+        for w in workloads:
+            for side in sides:
+                r = traced[side, w] = run_bench(sides[side], w, args.seeds[0], args.tiny, trace=1)
+                print(json.dumps({"side": side, "workload": w, "seed": args.seeds[0], "trace": 1, **r}),
+                      file=sys.stderr, flush=True)
 
-    hosts = {json.dumps(r["host"], sort_keys=True) for rs in runs.values() for r in rs}
+    hosts = {json.dumps(r["host"], sort_keys=True) for rs in [*runs.values(), traced.values()] for r in rs}
     if len(hosts) > 1:
         print(f"bench_ab: runs differ in {', '.join(SAME_HOST_KEYS)}: {sorted(hosts)}", file=sys.stderr)
         return 2
@@ -127,9 +156,8 @@ def main(argv=None) -> int:
     print(f"seeds {args.seeds[0]}-{args.seeds[-1]} ({len(args.seeds)} pairs), host {hosts.pop()}")
     for w in workloads:
         parent, change = runs["parent", w], runs["change", w]
-        print(f"\n{w}\n\n| " + " | ".join(header) + " |\n|" + "---|" * len(header))
-        for row in compare(parent, change, spec):
-            print("| " + " | ".join(row) + " |")
+        print(f"\n{w}\n")
+        print_table(header, compare(parent, change, spec))
         unequal = [s for s, p, c in zip(args.seeds, parent, change)
                    if p["metrics"]["rul_medae_cycles"] != c["metrics"]["rul_medae_cycles"]]
         failed = sum(r["failed"] for r in parent), sum(r["failed"] for r in change)
@@ -137,6 +165,12 @@ def main(argv=None) -> int:
         print(f"\nrul_medae_cycles equal per seed: {'yes' if not unequal else f'no, seeds {unequal}'}; "
               f"failed {failed[0]}/{attempted[0]} parent, {failed[1]}/{attempted[1]} change")
         ok = ok and not unequal and failed == (0, 0)
+        if args.trace:
+            p, c = traced["parent", w], traced["change", w]
+            print(f"\n{w}, traced (--trace 1), seed {args.seeds[0]}\n")
+            print_table(["metric", "unit", "parent", "change", "rel. change", "better"], side_by_side(p, c, spec))
+            print(f"\nfailed {p['failed']}/{p['attempted']} parent, {c['failed']}/{c['attempted']} change")
+            ok = ok and p["failed"] == c["failed"] == 0
     return 0 if ok else 1
 
 

@@ -8,8 +8,8 @@ and optimizes the retirement cycle with a multi-attribute utility.
 from . import calib, dataset, evaluation, filtering, model, prognosis, retirement, synth, utility
 from .dataset import CellRecord, NormalizedTrace, Split, extend_linear, load_cells, normalize, trigger_cycle
 from .filtering import FilterConfig, ParticleEnsemble, assimilate, init, posterior_summary, step
-from .model import NoiseSpec, PowerLawParams, analytic_eol, capacity, log_likelihood
-from .prognosis import CapacityProjection, RulPrediction, eol_distribution, project, rul
+from .model import NoiseSpec
+from .prognosis import CapacityProjection, RulPrediction, project, rul
 from .retirement import RetirementDecision, candidate_cycles, optimize_retirement
 from .utility import (
     AttributeSpec,

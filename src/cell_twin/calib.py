@@ -9,6 +9,7 @@ filter; total-Ah percentiles inform the throughput utility bounds.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ from scipy.optimize import least_squares
 
 from .dataset import NormalizedTrace
 from .errors import InsufficientFade, NoFitsSucceeded
-from .model import PowerLawParams, fade_q
+from .model import fade_q
 
 FADE_EPS = 1e-4       # points with q >= 1 - FADE_EPS carry no usable fade signal
 MIN_FIT_POINTS = 10
@@ -57,14 +58,14 @@ class FleetFit:
         )
 
 
-def lower_median(values) -> float:
-    """Smallest value with cumulative count >= half (deterministic for even n)."""
+def lower_percentile(values, p: float) -> float:
+    """Lower empirical percentile: the ceil(p/100 * n)-th smallest value (p = 50 is the lower median)."""
     v = np.sort(np.asarray(values, dtype=float))
-    return float(v[(len(v) - 1) // 2])
+    return float(v[math.ceil(p / 100 * len(v)) - 1])
 
 
-def fit_power_law(trace: NormalizedTrace) -> tuple[PowerLawParams, float]:
-    """Fit (a, b) to the measured portion of a trace.
+def fit_power_law(trace: NormalizedTrace) -> tuple[float, float, float]:
+    """Fit (log10 a, b) to the measured portion of a trace.
 
     A variance-weighted log-linear OLS on ln(1 - q) = ln a + b ln k gives
     the deterministic, initialization-free starting point (exact on
@@ -72,8 +73,10 @@ def fit_power_law(trace: NormalizedTrace) -> tuple[PowerLawParams, float]:
     minimizes the q-space squared error: the log-space fit is badly
     biased by near-unity points whose noise rivals the fade signal, and
     the polish removes that bias while leaving exact fits untouched.
-    Returns the parameters and the RMSE of the reconstructed q over the
-    qualifying points.  Extrapolated tail points are excluded.
+    Returns (log10 a, b, rmse), the RMSE of the reconstructed q over the
+    qualifying points.  Extrapolated tail points are excluded.  A fit whose
+    exponent is not positive, or whose a is not a positive float, is no fade
+    curve and raises InsufficientFade.
     """
     mask = trace.measured_mask & (trace.q < 1.0 - FADE_EPS)
     if int(mask.sum()) < MIN_FIT_POINTS:
@@ -92,10 +95,12 @@ def fit_power_law(trace: NormalizedTrace) -> tuple[PowerLawParams, float]:
         return fade_q(p[0], p[1], ln_k) - q
 
     ln_a, b = least_squares(resid, [ln_a, b], method="lm").x
-    params = PowerLawParams(a=float(np.exp(ln_a)), b=float(b))
+    a = float(np.exp(ln_a))
+    if not (b > 0 and 0.0 < a < math.inf):
+        raise InsufficientFade(f"{trace.cell_id}: fit is not a fade curve (a={a!r}, b={float(b)!r})")
     q_hat = fade_q(ln_a, b, ln_k)
     rmse = float(np.sqrt(np.mean((q_hat - q) ** 2)))
-    return params, rmse
+    return math.log10(a), float(b), rmse
 
 
 def total_measured_ah(trace: NormalizedTrace) -> float:
@@ -111,23 +116,19 @@ def fleet_calibrate(train: list[NormalizedTrace]) -> FleetFit:
     ahs = []
     for trace in train:
         try:
-            params, rmse = fit_power_law(trace)
+            per_cell[trace.cell_id] = fit_power_law(trace)
         except InsufficientFade:
             failed.append(trace.cell_id)
             continue
-        per_cell[trace.cell_id] = (params.log10_a, params.b, rmse)
         ahs.append(total_measured_ah(trace))
     if not per_cell:
         raise NoFitsSucceeded("no training cell produced a usable fit")
     las = [v[0] for v in per_cell.values()]
     bs = [v[1] for v in per_cell.values()]
-    ah_sorted = np.sort(ahs)
-    # lower empirical percentile, consistent with the median convention
-    pct = {p: float(ah_sorted[int(np.ceil(p / 100 * len(ah_sorted))) - 1]) for p in AH_PERCENTILES}
     return FleetFit(
         per_cell=per_cell,
-        median_log10_a=lower_median(las),
-        median_b=lower_median(bs),
-        ah_percentiles=pct,
+        median_log10_a=lower_percentile(las, 50),
+        median_b=lower_percentile(bs, 50),
+        ah_percentiles={p: lower_percentile(ahs, p) for p in AH_PERCENTILES},
         failed_cells=tuple(failed),
     )

@@ -201,12 +201,12 @@ def prediction_schedule(cfg: RunConfig, trace: dataset.NormalizedTrace) -> list[
 
 # --- commands ---
 
-def cmd_ingest(cfg: RunConfig, extend: bool = True) -> int:
+def cmd_ingest(cfg: RunConfig) -> int:
     manifest = dataset.load_split_manifest(cfg.split_manifest) if cfg.split_manifest else None
     cells = dataset.load_cells(cfg.dataset, manifest)
     traces = [dataset.normalize(cell, cfg.normalize_window) for cell in cells]
-    if extend:  # every cell is checked before the first file is written
-        traces = [dataset.extend_linear(t, cfg.extend_tail, cfg.extend_floor) for t in traces]
+    # every cell is checked before the first file is written
+    traces = [dataset.extend_linear(t, cfg.extend_tail, cfg.extend_floor) for t in traces]
     counts = {}
     split_map = {}
     for cell, trace in zip(cells, traces):
@@ -392,8 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--cell", default=None, required=(name == "retire"))
         if name == "retire":
             p.add_argument("--current", type=int, default=None)
-        if name == "ingest":
-            p.add_argument("--no-extend", action="store_true")
     return parser
 
 
@@ -409,7 +407,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"CELL_TWIN_SEED must be an integer, got {env_seed!r}") from None
         cfg = load_config(args.config, seed_override=seed, out_override=args.out)
         if args.command == "ingest":
-            return cmd_ingest(cfg, extend=not args.no_extend)
+            return cmd_ingest(cfg)
         if args.command == "calibrate":
             return cmd_calibrate(cfg)
         if args.command == "simulate":

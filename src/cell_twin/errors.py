@@ -45,10 +45,6 @@ class AlreadyBelowFloor(DataError):
 
 # --- model / filter ---
 
-class ZeroFadeCoefficient(CellTwinError):
-    pass
-
-
 class DegenerateWeights(CellTwinError):
     pass
 

@@ -63,11 +63,11 @@ def rul_errors(
     return RulErrorSeries(cell_id=trace.cell_id, points=points, true_eol=true_eol)
 
 
-def _quantile_of(dist, level: float) -> float:
+def _quantiles_of(dist, levels: np.ndarray) -> np.ndarray:
     fn = getattr(dist, "quantile", None) or getattr(dist, "ppf", None)
     if fn is None:
         raise TypeError(f"{dist!r} exposes neither quantile() nor ppf()")
-    return float(fn(level))
+    return np.asarray(fn(levels), dtype=float)
 
 
 def calibration_curve(
@@ -78,7 +78,7 @@ def calibration_curve(
     """Observed coverage of central predictive intervals vs nominal level.
 
     `predictive_dists` are per-observation distributions exposing
-    quantile() (or scipy-style ppf()).
+    quantile() (or scipy-style ppf()) that accepts a 1-D array of levels.
     """
     if len(predictive_dists) != len(observations):
         raise LengthMismatch(
@@ -87,16 +87,11 @@ def calibration_curve(
     levels = np.asarray(levels, dtype=float)
     if np.any((levels <= 0) | (levels >= 1)):
         raise ValueError("levels must lie in (0, 1)")
-    obs = np.asarray(observations, dtype=float)
+    obs = np.asarray(observations, dtype=float)[:, None]
     n = len(obs)
-    observed = np.empty(len(levels))
-    for i, c in enumerate(levels):
-        lo_p, hi_p = (1.0 - c) / 2.0, (1.0 + c) / 2.0
-        inside = 0
-        for dist, x in zip(predictive_dists, obs):
-            if _quantile_of(dist, lo_p) <= x <= _quantile_of(dist, hi_p):
-                inside += 1
-        observed[i] = inside / n
+    ends = np.concatenate([(1.0 - levels) / 2.0, (1.0 + levels) / 2.0])
+    q = np.array([_quantiles_of(dist, ends) for dist in predictive_dists]).reshape(n, 2, len(levels))
+    observed = ((q[:, 0] <= obs) & (obs <= q[:, 1])).sum(axis=0) / n
     return CalibrationCurve(
         levels=levels,
         observed=observed,

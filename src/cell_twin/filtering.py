@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import NormalizedTrace
 from .errors import DegenerateWeights, InvalidObservation, SnapshotError
-from .model import _LN10, NoiseSpec, PowerLawParams, fade_q, gaussian_log_lik
+from .model import _LN10, NoiseSpec, fade_q, gaussian_log_lik
 
 SNAPSHOT_VERSION = 2
 WEIGHT_SUM_TOL = 1e-9  # how far stored weights may sum from 1 (snapshots, EOL tables)
@@ -64,9 +64,6 @@ class ParticleEnsemble:
     @property
     def n(self) -> int:
         return len(self.weights)
-
-    def params_at(self, i: int) -> PowerLawParams:
-        return PowerLawParams.from_log10(self.log10_a[i], self.b[i])
 
     def ess(self) -> float:
         return 1.0 / float(np.sum(self.weights ** 2))

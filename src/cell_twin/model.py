@@ -12,30 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroFadeCoefficient
-
 _LN10 = math.log(10.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class PowerLawParams:
-    a: float  # fade coefficient, >= 0
-    b: float  # fade exponent, > 0
-
-    def __post_init__(self):
-        if self.a < 0:
-            raise ValueError("fade coefficient must be non-negative")
-        if self.b <= 0:
-            raise ValueError("fade exponent must be positive")
-
-    @property
-    def log10_a(self) -> float:
-        return math.log10(self.a)
-
-    @classmethod
-    def from_log10(cls, log10_a: float, b: float) -> "PowerLawParams":
-        return cls(a=10.0 ** log10_a, b=b)
 
 
 @dataclass(frozen=True)
@@ -69,30 +47,3 @@ def eol_cycles(ln_a, b, threshold: float):
 def gaussian_log_lik(resid, sigma: float):
     """Log N(resid; 0, sigma**2); broadcasts over `resid`."""
     return -0.5 * (resid / sigma) ** 2 - math.log(sigma) - _LOG_SQRT_2PI
-
-
-def capacity(params: PowerLawParams, k) -> float | np.ndarray:
-    """Predicted normalized capacity 1 - a*k**b at cycle k (k >= 1).
-
-    May go negative for large k; clamping is left to callers.
-    """
-    if params.a == 0.0:
-        return np.ones_like(np.asarray(k, dtype=float)) if np.ndim(k) else 1.0
-    result = fade_q(math.log(params.a), params.b, np.log(np.asarray(k, dtype=float)))
-    return result if np.ndim(k) else float(result)
-
-
-def analytic_eol(params: PowerLawParams, threshold: float) -> float:
-    """Real-valued cycle where capacity crosses `threshold`: ((1-t)/a)**(1/b)."""
-    if params.a == 0.0:
-        raise ZeroFadeCoefficient("zero fade coefficient has no finite end of life")
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must be in (0, 1)")
-    return float(eol_cycles(math.log(params.a), params.b, threshold))
-
-
-def log_likelihood(params: PowerLawParams, k: int, q_obs: float, sigma_meas: float) -> float:
-    """Log Gaussian density of q_obs around the model prediction at cycle k."""
-    if sigma_meas <= 0:
-        raise ValueError("sigma_meas must be positive")
-    return gaussian_log_lik(q_obs - capacity(params, k), sigma_meas)

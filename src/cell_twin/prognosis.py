@@ -91,17 +91,14 @@ class EolDistribution:
         idx = int(np.searchsorted(self.eols, x, side="right"))
         return 0.0 if idx == 0 else float(self.cum[idx - 1])
 
-    def quantile(self, level: float) -> float:
-        """Lower quantile: smallest EOL with cumulative weight >= level."""
+    def quantile(self, level: float | np.ndarray) -> float | np.ndarray:
+        """Lower quantile: smallest EOL with cumulative weight >= level.
+
+        A 1-D ndarray of levels gives the array of their quantiles, by the same rule.
+        """
+        if isinstance(level, np.ndarray):  # not np.ndim: it costs the scalar path 2 us
+            return self.eols[_lower_index(self.cum[:, None], level)]
         return float(self.eols[_lower_index(self.cum, level)])
-
-
-def weighted_quantile(values: np.ndarray, weights: np.ndarray, level: float) -> float:
-    """Lower weighted quantile: smallest value with cumulative weight >= level.
-
-    `weights` must sum to 1 (see `EolDistribution`).
-    """
-    return EolDistribution(values, weights).quantile(level)
 
 
 def _bands(proj: CapacityProjection) -> np.ndarray:
@@ -145,7 +142,7 @@ def project(
         raise ValueError("cannot project from before the last assimilated cycle")
     ln_a = _LN10 * ens.log10_a
     eols = eol_cycles(ln_a, ens.b, eol_threshold)
-    horizon = int(math.ceil(weighted_quantile(eols, ens.weights, 0.99)))
+    horizon = int(math.ceil(EolDistribution(eols, ens.weights).quantile(0.99)))
     return CapacityProjection(
         from_cycle=from_cycle,
         horizon_cycle=max(horizon, from_cycle),
@@ -155,10 +152,6 @@ def project(
         ln_a=ln_a,
         b=ens.b.copy(),
     )
-
-
-def eol_distribution(proj: CapacityProjection) -> EolDistribution:
-    return EolDistribution(proj.per_particle_eol, proj.eol_weights)
 
 
 def rul(proj: CapacityProjection, at_cycle: int) -> RulPrediction:

@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import DegenerateBounds, LengthMismatch, NonPositiveRisk
 
+ANCHOR_TOL = 1e-9  # how far the anchored coefficients may miss phi(l_u) = 0 and phi(h_u) = 1
+
 
 class Attribute(enum.Enum):
     TOTAL_AH = "total_ah"
@@ -30,9 +32,11 @@ class ExpUtility:
     tau_coef: float
 
     def value(self, v) -> float | np.ndarray:
-        v = np.clip(v, self.l_u, self.h_u)
-        out = self.sigma_coef - self.tau_coef * np.exp(-np.asarray(v, dtype=float) / self.r)
+        out = self._phi(np.clip(v, self.l_u, self.h_u))
         return out if np.ndim(out) else float(out)
+
+    def _phi(self, v) -> np.ndarray:
+        return self.sigma_coef - self.tau_coef * np.exp(-np.asarray(v, dtype=float) / self.r)
 
 
 @dataclass(frozen=True)
@@ -44,20 +48,28 @@ class AttributeSpec:
 
 
 def make_exp_utility(l_u: float, h_u: float, r: float) -> ExpUtility:
-    """Build the anchored exponential utility for bounds (l_u, h_u) and risk r."""
+    """Build the anchored exponential utility for bounds (l_u, h_u) and risk r.
+
+    DegenerateBounds when the bounds or r are not finite, or when the
+    coefficients, as `value` evaluates them, miss an anchor by more than
+    ANCHOR_TOL (both anchors round to one exp value, or an exp overflows).
+    """
+    if not all(map(math.isfinite, (l_u, h_u, r))):
+        raise DegenerateBounds(f"l_u {l_u}, h_u {h_u} and r {r} must be finite")
     if h_u <= l_u:
         raise DegenerateBounds(f"h_u {h_u} must exceed l_u {l_u}")
     if r <= 0:
         raise NonPositiveRisk(f"risk tolerance must be positive, got {r}")
-    e_l = math.exp(-l_u / r)
-    e_h = math.exp(-h_u / r)
-    return ExpUtility(
-        l_u=l_u,
-        h_u=h_u,
-        r=r,
-        sigma_coef=e_l / (e_l - e_h),
-        tau_coef=1.0 / (e_l - e_h),
-    )
+    try:
+        e_l = math.exp(-l_u / r)
+        e_h = math.exp(-h_u / r)
+        u = ExpUtility(l_u=l_u, h_u=h_u, r=r, sigma_coef=e_l / (e_l - e_h), tau_coef=1.0 / (e_l - e_h))
+    except (OverflowError, ZeroDivisionError):
+        u = None
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN or inf coefficients fail the comparisons
+        if u is None or not (abs(u._phi(l_u)) <= ANCHOR_TOL and abs(u._phi(h_u) - 1.0) <= ANCHOR_TOL):
+            raise DegenerateBounds(f"l_u {l_u}, h_u {h_u} and r {r} give no utility with phi(l_u) = 0, phi(h_u) = 1")
+    return u
 
 
 def mtbc(q_at_xc: float, discharge_rate_c: float = 4.0) -> float:

@@ -4,6 +4,7 @@ run on a synthetic stand-in fleet and reported without gating.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from scipy.stats import norm
 import cell_twin as ct
 from cell_twin.cli import main as cli_main
 from cell_twin.evaluation import calibration_curve
-from cell_twin.prognosis import weighted_quantile
+from cell_twin.model import _LN10, eol_cycles
+from cell_twin.prognosis import EolDistribution
 from cell_twin.synth import synth_fleet_csv
 from conftest import power_law_trace
 
@@ -53,19 +55,18 @@ class TestCriterion3AnalyticEol:
     def test_round_trip_and_median_eol(self):
         rng = np.random.default_rng(103)
         for _ in range(1000):
-            p = ct.PowerLawParams(10 ** rng.uniform(-20, -3), rng.uniform(0.5, 8))
+            a, b = 10 ** rng.uniform(-20, -3), rng.uniform(0.5, 8)
             t = rng.uniform(0.05, 0.95)
-            k_star = ct.analytic_eol(p, t)
-            assert 1.0 - p.a * k_star ** p.b == pytest.approx(t, abs=1e-9)
-        med_eol = ct.analytic_eol(ct.PowerLawParams.from_log10(-15.77, 5.45), 0.5)
+            k_star = eol_cycles(math.log(a), b, t)
+            assert 1.0 - a * k_star ** b == pytest.approx(t, abs=1e-9)
+        med_eol = eol_cycles(_LN10 * -15.77, 5.45, 0.5)
         assert med_eol == pytest.approx(689, abs=1)
         report(f"PASS 3: 1000 round trips exact; median-parameter EOL {med_eol:.2f}")
 
 
 class TestCriterion4FilterConvergence:
     def test_projected_eol_within_10pct(self):
-        truth = ct.PowerLawParams.from_log10(-15.77, 5.45)
-        true_eol = ct.analytic_eol(truth, 0.5)
+        true_eol = eol_cycles(_LN10 * -15.77, 5.45, 0.5)
         hits = 0
         for seed in range(50):
             trace = power_law_trace(-15.77, 5.45, n_cycles=500, noise_std=0.01, seed=7000 + seed)
@@ -73,7 +74,7 @@ class TestCriterion4FilterConvergence:
             ens = ct.init(cfg)
             ct.assimilate(ens, trace, 500, cfg.noise)
             proj = ct.project(ens, 500, 0.5)
-            med = weighted_quantile(proj.per_particle_eol, proj.eol_weights, 0.5)
+            med = EolDistribution(proj.per_particle_eol, proj.eol_weights).quantile(0.5)
             hits += abs(med - true_eol) / true_eol < 0.10
         assert hits >= 45
         report(f"PASS 4: projected EOL within 10% of truth in {hits}/50 seeded runs")
@@ -82,18 +83,18 @@ class TestCriterion4FilterConvergence:
 class TestCriterion5OfflineFit:
     def test_noise_free_exact(self):
         for la, b in [(-12.0, 4.0), (-15.77, 5.45), (-9.0, 2.5)]:
-            n = int(ct.analytic_eol(ct.PowerLawParams.from_log10(la, b), 0.5))
-            params, _ = ct.calib.fit_power_law(power_law_trace(la, b, n_cycles=n))
-            assert params.log10_a == pytest.approx(la, abs=1e-9)
-            assert params.b == pytest.approx(b, abs=1e-9)
+            n = int(eol_cycles(_LN10 * la, b, 0.5))
+            fit_la, fit_b, _ = ct.calib.fit_power_law(power_law_trace(la, b, n_cycles=n))
+            assert fit_la == pytest.approx(la, abs=1e-9)
+            assert fit_b == pytest.approx(b, abs=1e-9)
         report("PASS 5a: noise-free fits exact to 1e-9")
 
     def test_noisy_within_band(self):
         hits = 0
         for seed in range(50):
             trace = power_law_trace(-15.77, 5.45, n_cycles=800, noise_std=0.01, seed=seed)
-            params, _ = ct.calib.fit_power_law(trace)
-            hits += abs(params.b - 5.45) <= 0.2
+            _, b, _ = ct.calib.fit_power_law(trace)
+            hits += abs(b - 5.45) <= 0.2
         assert hits == 50
         report(f"PASS 5b: b within +/-0.2 under 1% noise in {hits}/50 seeds")
 

@@ -9,6 +9,7 @@ import pytest
 import cell_twin
 from cell_twin.cli import main
 from cell_twin.synth import synth_fleet_csv
+from conftest import rise_then_fade_trace
 
 
 def make_config(tmp_path, out_name="out", **overrides):
@@ -47,12 +48,6 @@ class TestIngest:
         cell = json.loads(next((out / "cells").glob("*.json")).read_text())
         assert set(cell) == {"cell_id", "q0_ah", "extrapolated_from", "cycles", "q"}
         assert cell["extrapolated_from"] is not None
-
-    def test_no_extend(self, tmp_path):
-        cfg, out = make_config(tmp_path, out_name="noext")
-        assert run("ingest", cfg, "--no-extend") == 0
-        for p in (out / "cells").glob("*.json"):
-            assert json.loads(p.read_text())["extrapolated_from"] is None
 
     def test_missing_dataset_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -157,6 +152,17 @@ class TestCalibrate:
         fit = json.loads((tmp_path / "o3" / "fleet_fit.json").read_text())
         assert fit["median_b"] == pytest.approx(5.45, abs=0.05)
         assert fit["median_log10_a"] == pytest.approx(-15.77, abs=0.3)
+
+    def test_non_fading_fit_listed_as_failed(self, tmp_path):
+        cfg, out = make_config(tmp_path)
+        bent = rise_then_fade_trace("train_bent")
+        with open(tmp_path / "fleet.csv", "a") as f:
+            f.writelines(f"train_bent,train,{k},{float(q) * 1.1!r},1.1\n" for k, q in zip(bent.cycles, bent.q))
+        assert run("ingest", cfg) == 0
+        assert run("calibrate", cfg) == 0
+        fit = json.loads((out / "fleet_fit.json").read_text())
+        assert fit["failed_cells"] == ["train_bent"]
+        assert len(fit["per_cell"]) == 6
 
     def test_empty_train_split_fails(self, tmp_path):
         cfg, out = make_config(tmp_path, out_name="notrain")
@@ -318,6 +324,11 @@ BAD_INPUTS = {
     ),
     "weight_str": ("retire", {"utilities": [{**SPEC, "weight": "x"}]}, None, None, None, 2, "weight"),
     "weight_0": ("retire", {"utilities": [{**SPEC, "weight": 0}]}, None, None, None, 2, "weight"),
+    "utility_r_tiny": ("ingest", {"utilities": [{**SPEC, "r": 0.1, "weight": 1.0}]}, None, None, None, 2, "l_u"),
+    "utility_r_huge": ("simulate", {"utilities": [{**SPEC, "r": 1e20, "weight": 1.0}]}, None, None, None, 2, "l_u"),
+    "utility_l_u_nan": (
+        "retire", {"utilities": [{**SPEC, "l_u": float("nan"), "weight": 1.0}]}, None, None, None, 2, "l_u"
+    ),
     "utility_name_dup": (
         "retire", {"utilities": [{**SPEC, "weight": 1.0}, {**SPEC, "extractor": "mtbc", "weight": 1.0}]},
         None, None, None, 2, "utility names",

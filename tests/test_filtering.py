@@ -11,16 +11,15 @@ from cell_twin import (
     FilterConfig,
     NoiseSpec,
     ParticleEnsemble,
-    PowerLawParams,
-    analytic_eol,
     assimilate,
-    capacity,
     init,
     posterior_summary,
     step,
 )
 from cell_twin.errors import DataError, DegenerateWeights, InvalidObservation, SnapshotError
 from cell_twin.filtering import systematic_resample
+from cell_twin.model import _LN10, eol_cycles, fade_q
+from cell_twin.prognosis import EolDistribution
 from conftest import power_law_trace
 
 TINY = 1e-12
@@ -65,7 +64,7 @@ class TestStep:
     def test_equal_residuals_keep_weights(self):
         noise = NoiseSpec(sigma_meas=0.01, sigma_log_a=TINY, sigma_b=TINY)
         ens = two_particle_ensemble([-15.77, -15.77], [5.45, 5.45])
-        q_obs = capacity(ens.params_at(0), 100)
+        q_obs = fade_q(_LN10 * ens.log10_a[0], ens.b[0], math.log(100))
         step(ens, 100, q_obs, noise)
         assert np.allclose(ens.weights, 0.5, atol=1e-6)
         assert ens.last_cycle == 100
@@ -74,7 +73,7 @@ class TestStep:
         # one particle exact, one with residual 3 sigma: ratio e^4.5
         noise = NoiseSpec(sigma_meas=0.01, sigma_log_a=TINY, sigma_b=TINY)
         ens = two_particle_ensemble([-3.0, -3.0], [1.0, 1.0])
-        q_exact = capacity(ens.params_at(0), 100)  # 0.9
+        q_exact = fade_q(_LN10 * ens.log10_a[0], ens.b[0], math.log(100))  # 0.9
         ens.log10_a[1] = math.log10(10 ** -3.0 + 0.03 / 100)  # shift prediction by 0.03
         step(ens, 100, q_exact, noise)
         ratio = ens.weights[0] / ens.weights[1]
@@ -153,15 +152,14 @@ class TestAssimilate:
         # (log10_a, b) are only ridge-identified from capacity data, so the
         # oracle is predictive: the posterior-mean fade curve and its implied
         # end of life must match the generating parameters.
-        true = PowerLawParams.from_log10(-15.0, 5.0)
         trace = power_law_trace(log10_a=-15.0, b=5.0, n_cycles=500, noise_std=0.001, seed=8)
         ens = init(FilterConfig(n_particles=1000, seed=8, init_log10_a=-15.77, init_b=5.45))
         assimilate(ens, trace, 500, NoiseSpec())
         mean_la, mean_b, _ = posterior_summary(ens)
-        post = PowerLawParams.from_log10(mean_la, mean_b)
-        assert analytic_eol(post, 0.5) == pytest.approx(analytic_eol(true, 0.5), rel=0.02)
-        ks = np.arange(50, 501, 50).astype(float)
-        assert np.allclose(capacity(post, ks), capacity(true, ks), atol=0.01)
+        post, true = (_LN10 * mean_la, mean_b), (_LN10 * -15.0, 5.0)
+        assert eol_cycles(*post, 0.5) == pytest.approx(eol_cycles(*true, 0.5), rel=0.02)
+        ln_ks = np.log(np.arange(50, 501, 50).astype(float))
+        assert np.allclose(fade_q(*post, ln_ks), fade_q(*true, ln_ks), atol=0.01)
 
 
 class TestPosteriorSummary:
@@ -186,8 +184,6 @@ class TestPosteriorSummary:
 class TestCredibleIntervalCoverage:
     def test_b_interval_covers_truth_frequently(self):
         # loose frequentist sanity band on the model's own generative process
-        from cell_twin.prognosis import weighted_quantile
-
         covered = 0
         n_rep = 100
         for rep in range(n_rep):
@@ -197,8 +193,8 @@ class TestCredibleIntervalCoverage:
             trace = power_law_trace(true_la, true_b, n_cycles=300, noise_std=0.01, seed=30000 + rep)
             ens = init(FilterConfig(n_particles=300, seed=rep))
             assimilate(ens, trace, 300, NoiseSpec())
-            lo = weighted_quantile(ens.b, ens.weights, 0.05)
-            hi = weighted_quantile(ens.b, ens.weights, 0.95)
+            b_dist = EolDistribution(ens.b, ens.weights)
+            lo, hi = b_dist.quantile(0.05), b_dist.quantile(0.95)
             covered += lo <= true_b <= hi
         assert covered >= 80
 

@@ -6,9 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from cell_twin import NoiseSpec, PowerLawParams, analytic_eol, capacity, log_likelihood
-from cell_twin.errors import ZeroFadeCoefficient
-from cell_twin.model import eol_cycles, fade_q
+from cell_twin import NoiseSpec
+from cell_twin.model import _LN10, eol_cycles, fade_q, gaussian_log_lik
 
 log10_as = st.floats(-20.0, -3.0)
 bs = st.floats(0.5, 8.0)
@@ -17,17 +16,17 @@ thresholds = st.floats(0.05, 0.95)
 
 class TestCapacity:
     def test_zero_fade(self):
-        assert capacity(PowerLawParams(0.0, 5.45), 10 ** 6) == 1.0
+        assert fade_q(-math.inf, 5.45, math.log(10 ** 6)) == 1.0
 
     def test_linear_case(self):
-        assert capacity(PowerLawParams(1e-3, 1.0), 100) == pytest.approx(0.9)
+        assert fade_q(math.log(1e-3), 1.0, math.log(100)) == pytest.approx(0.9)
 
     def test_median_params_at_eol(self, median_params):
-        assert capacity(median_params, 689) == pytest.approx(0.5, abs=0.005)
+        assert fade_q(*median_params, math.log(689)) == pytest.approx(0.5, abs=0.005)
 
     def test_strictly_decreasing(self, median_params):
         ks = np.arange(1, 2001).astype(float)
-        qs = capacity(median_params, ks)
+        qs = fade_q(*median_params, np.log(ks))
         assert np.all(np.diff(qs) < 0)
 
     def test_log_space_matches_direct_formula(self):
@@ -37,59 +36,49 @@ class TestCapacity:
             b = rng.uniform(0.5, 8)
             k = rng.integers(1, 5001)
             direct = 1.0 - a * float(k) ** b
-            assert capacity(PowerLawParams(a, b), int(k)) == pytest.approx(direct, rel=1e-12, abs=1e-12)
+            assert fade_q(math.log(a), b, math.log(k)) == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
 class TestAnalyticEol:
     def test_linear_case(self):
-        assert analytic_eol(PowerLawParams(1e-3, 1.0), 0.9) == pytest.approx(100.0)
+        assert eol_cycles(math.log(1e-3), 1.0, 0.9) == pytest.approx(100.0)
 
     def test_median_params(self, median_params):
         expect = 10 ** ((15.77 + math.log10(0.5)) / 5.45)
-        assert analytic_eol(median_params, 0.5) == pytest.approx(expect)
-        assert analytic_eol(median_params, 0.5) == pytest.approx(689, abs=1)
-
-    def test_zero_fade_raises(self):
-        with pytest.raises(ZeroFadeCoefficient):
-            analytic_eol(PowerLawParams(0.0, 5.45), 0.5)
+        assert eol_cycles(*median_params, 0.5) == pytest.approx(expect)
+        assert eol_cycles(*median_params, 0.5) == pytest.approx(689, abs=1)
 
     def test_round_trip(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):
-            p = PowerLawParams(10 ** rng.uniform(-20, -3), rng.uniform(0.5, 8))
+            a, b = 10 ** rng.uniform(-20, -3), rng.uniform(0.5, 8)
             t = rng.uniform(0.05, 0.95)
-            k_star = analytic_eol(p, t)
-            assert 1.0 - p.a * k_star ** p.b == pytest.approx(t, abs=1e-9)
+            k_star = eol_cycles(math.log(a), b, t)
+            assert 1.0 - a * k_star ** b == pytest.approx(t, abs=1e-9)
 
     def test_threshold_monotonicity(self, median_params):
         # deeper fade threshold -> strictly later EOL
-        assert analytic_eol(median_params, 0.5) > analytic_eol(median_params, 0.8)
+        assert eol_cycles(*median_params, 0.5) > eol_cycles(*median_params, 0.8)
 
 
 class TestLogLikelihood:
-    def test_peak_value(self, median_params):
-        q = capacity(median_params, 300)
-        peak = log_likelihood(median_params, 300, q, 0.01)
-        assert peak == pytest.approx(math.log(1.0 / (0.01 * math.sqrt(2 * math.pi))))
+    def test_peak_value(self):
+        assert gaussian_log_lik(0.0, 0.01) == pytest.approx(math.log(1.0 / (0.01 * math.sqrt(2 * math.pi))))
 
-    def test_one_sigma_point(self, median_params):
-        q = capacity(median_params, 300)
-        peak = log_likelihood(median_params, 300, q, 0.01)
-        assert log_likelihood(median_params, 300, q + 0.01, 0.01) == pytest.approx(peak - 0.5)
+    def test_one_sigma_point(self):
+        assert gaussian_log_lik(0.01, 0.01) == pytest.approx(gaussian_log_lik(0.0, 0.01) - 0.5)
 
-    def test_three_sigma_residual(self, median_params):
-        q = capacity(median_params, 300)
-        peak = log_likelihood(median_params, 300, q, 0.01)
-        assert log_likelihood(median_params, 300, q + 0.03, 0.01) == pytest.approx(peak - 4.5)
+    def test_three_sigma_residual(self):
+        assert gaussian_log_lik(-0.03, 0.01) == pytest.approx(gaussian_log_lik(0.0, 0.01) - 4.5)
 
     def test_density_integrates_to_one(self):
         rng = np.random.default_rng(5)
         for _ in range(3):
-            p = PowerLawParams(10 ** rng.uniform(-18, -8), rng.uniform(2, 7))
+            ln_a, b = _LN10 * rng.uniform(-18, -8), rng.uniform(2, 7)
             k = int(rng.integers(1, 1000))
             sigma = rng.uniform(0.005, 0.05)
-            mean = capacity(p, k)
-            total, _ = quad(lambda q: math.exp(log_likelihood(p, k, q, sigma)), mean - 1.0, mean + 1.0)
+            mean = fade_q(ln_a, b, math.log(k))
+            total, _ = quad(lambda q: math.exp(gaussian_log_lik(q - mean, sigma)), mean - 1.0, mean + 1.0)
             assert total == pytest.approx(1.0, abs=1e-8)
 
 
@@ -102,18 +91,6 @@ class TestNoiseSpec:
 
 
 class TestKernels:
-    @given(log10_as, bs, st.integers(1, 5000))
-    def test_capacity_is_fade_q(self, log10_a, b, k):
-        p = PowerLawParams.from_log10(log10_a, b)
-        ks = np.arange(1, k + 1, dtype=float)
-        assert capacity(p, k) == float(fade_q(math.log(p.a), b, np.log(float(k))))
-        assert np.array_equal(capacity(p, ks), fade_q(math.log(p.a), b, np.log(ks)))
-
-    @given(log10_as, bs, thresholds)
-    def test_analytic_eol_is_eol_cycles(self, log10_a, b, t):
-        p = PowerLawParams.from_log10(log10_a, b)
-        assert analytic_eol(p, t) == float(eol_cycles(math.log(p.a), b, t))
-
     @given(log10_as, bs, thresholds)
     def test_fade_q_inverts_eol_cycles(self, log10_a, b, t):
         ln_a = log10_a * math.log(10.0)

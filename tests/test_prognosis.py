@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cell_twin import FilterConfig, NoiseSpec, analytic_eol, assimilate, capacity, eol_distribution, init, project, rul
+from cell_twin import FilterConfig, NoiseSpec, assimilate, init, project, rul
 from cell_twin.filtering import ParticleEnsemble
 from cell_twin.model import _LN10, fade_q
-from cell_twin.prognosis import BAND_BLOCK, EolDistribution, weighted_quantile
+from cell_twin.prognosis import BAND_BLOCK, EolDistribution
 from conftest import power_law_trace
 
 finite_values = st.one_of(st.integers(-5, 5).map(float), st.floats(-1e6, 1e6))
@@ -30,7 +31,7 @@ def make_ensemble(log10_as, bs, weights=None, last_cycle=0):
 
 class TestWeightedQuantile:
     def test_lower_median_two_points(self):
-        assert weighted_quantile(np.array([600.0, 800.0]), np.array([0.5, 0.5]), 0.5) == 600.0
+        assert EolDistribution(np.array([600.0, 800.0]), np.array([0.5, 0.5])).quantile(0.5) == 600.0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(21)
@@ -39,7 +40,7 @@ class TestWeightedQuantile:
             w = rng.random(10)
             w /= w.sum()
             lvl = rng.uniform(0.05, 0.95)
-            got = weighted_quantile(v, w, lvl)
+            got = EolDistribution(v, w).quantile(lvl)
             order = np.argsort(v)
             cum = 0.0
             for i in order:
@@ -65,16 +66,27 @@ class TestWeightedQuantile:
             v for v in sorted(set(values))
             if 2 * sum(c for x, c in zip(values, counts) if x <= v) >= m
         )
-        got = weighted_quantile(np.array(values), np.array(counts) / total, m / (2 * total))
+        got = EolDistribution(np.array(values), np.array(counts) / total).quantile(m / (2 * total))
         assert got == expect
+
+    @given(
+        st.lists(st.tuples(finite_values, st.floats(0.0, 1.0)), min_size=1, max_size=30).filter(
+            lambda pairs: sum(w for _, w in pairs) > 0
+        ),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+    )
+    def test_level_array_equals_scalar_calls(self, pairs, levels):
+        weights = np.array([w for _, w in pairs])
+        dist = EolDistribution(np.array([v for v, _ in pairs]), weights / weights.sum())
+        got = dist.quantile(np.array(levels))
+        assert got.tolist() == [dist.quantile(lvl) for lvl in levels]
 
 
 class TestProject:
     def test_single_particle_trajectory_exact(self):
         ens = make_ensemble([-15.77], [5.45], last_cycle=100)
         proj = project(ens, 100, 0.5)
-        params = ens.params_at(0)
-        expect = np.maximum(capacity(params, proj.cycles.astype(float)), 0.5)
+        expect = np.maximum(fade_q(_LN10 * ens.log10_a[0], ens.b[0], np.log(proj.cycles.astype(float))), 0.5)
         assert np.allclose(proj.median_q, expect, atol=1e-12)
 
     def test_identical_particles_eol(self):
@@ -92,9 +104,9 @@ class TestProject:
         rng = np.random.default_rng(31)
         ens = make_ensemble(rng.normal(-15.77, 0.3, 10), np.abs(rng.normal(5.45, 0.3, 10)))
         proj = project(ens, 50, 0.5)
-        vals = np.array([capacity(ens.params_at(i), 50) for i in range(10)])
+        vals = fade_q(_LN10 * ens.log10_a, ens.b, math.log(50))
         assert proj.median_q[0] == pytest.approx(
-            max(weighted_quantile(vals, ens.weights, 0.5), 0.5)
+            max(EolDistribution(vals, ens.weights).quantile(0.5), 0.5)
         )
 
     @settings(deadline=None)
@@ -187,16 +199,15 @@ class TestYoungTwin:
 class TestEolDistribution:
     def test_single_particle_step_cdf(self):
         ens = make_ensemble([-15.77], [5.45])
-        dist = eol_distribution(project(ens, 1, 0.5))
+        proj = project(ens, 1, 0.5)
+        dist = EolDistribution(proj.per_particle_eol, proj.eol_weights)
         eol = float(dist.eols[0])
-        assert eol == pytest.approx(analytic_eol(ens.params_at(0), 0.5), rel=1e-9)
+        assert eol == pytest.approx(((1 - 0.5) / 10 ** -15.77) ** (1 / 5.45), rel=1e-9)
         assert dist.cdf(eol - 1) == 0.0
         assert dist.cdf(eol) == 1.0
         assert dist.cdf(eol + 1) == 1.0
 
     def test_counting(self):
-        from cell_twin.prognosis import EolDistribution
-
         dist = EolDistribution(np.array([600.0, 700.0, 800.0]), np.full(3, 1 / 3))
         assert dist.cdf(700) == pytest.approx(2 / 3)
         assert dist.cdf(599) == 0.0
@@ -205,8 +216,8 @@ class TestEolDistribution:
     def test_self_consistency_at_median(self):
         ens = init(FilterConfig(n_particles=1000, seed=17))
         proj = project(ens, 1, 0.5)
-        dist = eol_distribution(proj)
-        med = weighted_quantile(proj.per_particle_eol, proj.eol_weights, 0.5)
+        dist = EolDistribution(proj.per_particle_eol, proj.eol_weights)
+        med = dist.quantile(0.5)
         assert dist.cdf(med) == pytest.approx(0.5, abs=1.5 / 1000)
 
 
@@ -214,7 +225,7 @@ class TestRul:
     def test_at_median_eol_rul_zero(self):
         ens = init(FilterConfig(n_particles=500, seed=18))
         proj = project(ens, 1, 0.5)
-        med_eol = weighted_quantile(proj.per_particle_eol, proj.eol_weights, 0.5)
+        med_eol = EolDistribution(proj.per_particle_eol, proj.eol_weights).quantile(0.5)
         pred = rul(proj, int(np.ceil(med_eol)))
         assert pred.rul_median <= 1.0
 

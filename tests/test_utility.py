@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cell_twin import (
     AttributeSpec,
@@ -8,7 +10,7 @@ from cell_twin import (
     make_exp_utility,
     mtbc,
 )
-from cell_twin.errors import DegenerateBounds, LengthMismatch, NonPositiveRisk
+from cell_twin.errors import ConfigError, DegenerateBounds, LengthMismatch, NonPositiveRisk
 from cell_twin.utility import Attribute
 
 
@@ -44,6 +46,15 @@ class TestMakeExpUtility:
     def test_nonpositive_risk(self):
         with pytest.raises(NonPositiveRisk):
             make_exp_utility(0, 1, 0)
+
+    @given(st.floats(), st.floats(), st.floats())
+    def test_anchored_or_config_error(self, l_u, h_u, r):
+        try:
+            u = make_exp_utility(l_u, h_u, r)
+        except ConfigError:
+            return
+        assert u.value(l_u) == pytest.approx(0.0, abs=1e-9)
+        assert u.value(h_u) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestEvalUtility:

@@ -86,8 +86,9 @@ def load_config(path, seed_override: int | None = None, out_override: str | None
                 )
             )
         names = [spec.name for spec in specs]
-        if len(set(names)) < len(names):
-            raise ConfigError(f"utility names must be unique, got {names}")
+        header = ["cycle", "utility", *(f"phi_{n}" for n in names), *names]  # utility_curve.csv's columns
+        if not all(isinstance(n, str) for n in names) or len(set(header)) < len(header):
+            raise ConfigError(f"utility names must be distinct strings that give distinct columns {header}")
         if not specs:
             specs = utility.default_attribute_specs()
         th = raw.get("thresholds", {})
@@ -128,10 +129,6 @@ def load_config(path, seed_override: int | None = None, out_override: str | None
 
 # --- deterministic output helpers ---
 
-def _fmt(x) -> str:
-    return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
-
-
 def atomic_write_text(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp_")
@@ -145,11 +142,14 @@ def atomic_write_text(path: Path, text: str):
         raise
 
 
-def write_csv(path: Path, header: list[str], rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def write_csv(path: Path, columns: dict):
+    """Write `columns` (name -> 1-D array, all one length) under a header of their names;
+    float columns are formatted with `repr` (round-trip), any other column with `str`."""
+    arrays = [np.asarray(col) for col in columns.values()]
+    if len({len(a) for a in arrays}) > 1:
+        raise ValueError(f"{path}: columns of unequal lengths {[len(a) for a in arrays]}")
+    cells = [map(repr if a.dtype.kind == "f" else str, a.tolist()) for a in arrays]
+    atomic_write_text(path, "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n")
 
 
 def cell_seed(base_seed: int, cell_id: str) -> int:
@@ -243,13 +243,11 @@ def _simulate_cell(cfg: RunConfig, cell_id: str, trace: dataset.NormalizedTrace)
     for k in schedule:
         filtering.assimilate(ens, trace, k, fcfg.noise)
         proj = prognosis.project(ens, from_cycle=k, eol_threshold=cfg.eol)
-        rows = zip(proj.cycles, proj.median_q, proj.q05, proj.q95)
-        write_csv(sim_dir / f"projection_{k:06d}.csv", ["cycle", "median_q", "q05", "q95"], rows)
         write_csv(
-            sim_dir / f"eol_{k:06d}.csv",
-            ["eol_cycle", "weight"],
-            zip(proj.per_particle_eol, proj.eol_weights),
+            sim_dir / f"projection_{k:06d}.csv",
+            {"cycle": proj.cycles, "median_q": proj.median_q, "q05": proj.q05, "q95": proj.q95},
         )
+        write_csv(sim_dir / f"eol_{k:06d}.csv", {"eol_cycle": proj.per_particle_eol, "weight": proj.eol_weights})
         pred = prognosis.rul(proj, k)
         preds.append(
             {
@@ -310,14 +308,13 @@ def cmd_retire(cfg: RunConfig, cell_id: str, current: int | None) -> int:
     )
     ret_dir = cfg.output_dir / "retire" / cell_id
     names = [s.name for s in cfg.utilities]
-    write_csv(
-        ret_dir / "utility_curve.csv",
-        ["cycle", "utility"] + [f"phi_{n}" for n in names] + names,
-        (
-            [p.cycle, p.combined] + [p.phi[n] for n in names] + [p.raw[n] for n in names]
-            for p in decision.utility_curve
-        ),
-    )
+    curve = decision.utility_curve
+    write_csv(ret_dir / "utility_curve.csv", {
+        "cycle": decision.candidates,
+        "utility": [p.combined for p in curve],
+        **{f"phi_{n}": [p.phi[n] for p in curve] for n in names},
+        **{n: [p.raw[n] for p in curve] for n in names},
+    })
     atomic_write_text(ret_dir / "decision.json", json.dumps(decision.summary_dict()))
     print(f"{cell_id}: optimal retirement cycle {decision.optimal_cycle} (utility {decision.optimal_utility:.4f})")
     return EXIT_OK
@@ -326,10 +323,20 @@ def cmd_retire(cfg: RunConfig, cell_id: str, current: int | None) -> int:
 def eol_table(text: str) -> prognosis.EolDistribution:
     """An `eol_*.csv` written by simulate; a truncated one fails the weight sum."""
     rows = np.loadtxt(text.splitlines(), delimiter=",", skiprows=1, ndmin=2)
-    if (rows.shape[1] != 2 or not np.all(np.isfinite(rows))
-            or not abs(rows[:, 1].sum() - 1.0) <= filtering.WEIGHT_SUM_TOL):
-        raise ValueError(f"expected finite (eol_cycle, weight) rows, weights summing to 1; got shape {rows.shape}")
+    if rows.shape[1] != 2 or not np.all(np.isfinite(rows)) or not filtering.valid_weights(rows[:, 1]):
+        raise ValueError(f"expected finite (eol_cycle, weight) rows, weights >= 0 summing to 1; got {rows.shape}")
     return prognosis.EolDistribution(rows[:, 0], rows[:, 1])
+
+
+def prediction_columns(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """The integer `at_cycle` and numeric `rul_median` columns of a `predictions.json` written by
+    simulate; each prediction must hold all four keys simulate writes."""
+    preds = [(p["at_cycle"], p["rul_median"], p["rul_quantiles"], p["eol_threshold"]) for p in json.loads(text)]
+    at_cycle, rul_median = np.array([p[0] for p in preds]), np.array([p[1] for p in preds])
+    typed = at_cycle.dtype.kind == "i" and rul_median.dtype.kind in "if" and at_cycle.ndim == rul_median.ndim == 1
+    if preds and not typed:
+        raise ValueError(f"at_cycle must be integers and rul_median numbers, got {at_cycle.dtype}, {rul_median.dtype}")
+    return at_cycle, rul_median.astype(float)
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
@@ -345,25 +352,17 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         if cell_id not in traces:
             raise DataError(f"{sim_root / cell_id}: cell {cell_id!r} is not in manifest.json (stale simulate output?)")
         trace = traces[cell_id][1]
-        preds = decoded(sim_root / cell_id / "predictions.json", lambda text: [
-            prognosis.RulPrediction(
-                at_cycle=p["at_cycle"],
-                rul_median=p["rul_median"],
-                rul_quantiles={float(k): v for k, v in p["rul_quantiles"].items()},
-                eol_threshold=p["eol_threshold"],
-            )
-            for p in json.loads(text)
-        ])
-        if not preds:
+        at_cycle, rul_median = decoded(sim_root / cell_id / "predictions.json", prediction_columns)
+        if not len(at_cycle):
             continue
-        series = evaluation.rul_errors(trace, preds, cfg.eol)
-        write_csv(
-            cfg.output_dir / "metrics" / f"rul_errors_{cell_id}.csv",
-            ["cycle", "true_rul", "pred_rul", "err"],
-            ([p.cycle, p.true_rul, p.predicted_rul_median, p.signed_error] for p in series.points),
-        )
-        first_k = preds[0].at_cycle
-        dists.append(decoded(sim_root / cell_id / f"eol_{first_k:06d}.csv", eol_table))
+        series = evaluation.rul_errors(trace, at_cycle, rul_median, cfg.eol)
+        write_csv(cfg.output_dir / "metrics" / f"rul_errors_{cell_id}.csv", {
+            "cycle": series.cycles,
+            "true_rul": series.true_rul,
+            "pred_rul": series.predicted_rul_median,
+            "err": series.signed_error,
+        })
+        dists.append(decoded(sim_root / cell_id / f"eol_{at_cycle[0]:06d}.csv", eol_table))
         observed_eols.append(float(series.true_eol))
 
     if not dists:
@@ -371,11 +370,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     if len(dists) == 1:
         print("warning: calibration curve computed from a single cell")
     curve = evaluation.calibration_curve(dists, observed_eols)
-    write_csv(
-        cfg.output_dir / "metrics" / "calibration.csv",
-        ["level", "observed"],
-        zip(curve.levels, curve.observed),
-    )
+    write_csv(cfg.output_dir / "metrics" / "calibration.csv", {"level": curve.levels, "observed": curve.observed})
     print(f"calibration over {curve.n_samples} cells: area deviation {curve.area_deviation:.4f}")
     return EXIT_OK
 

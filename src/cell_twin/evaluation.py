@@ -14,21 +14,18 @@ import numpy as np
 
 from .dataset import NormalizedTrace, trigger_cycle
 from .errors import LengthMismatch, NoTrueEol
-from .prognosis import RulPrediction
 
-
-@dataclass(frozen=True)
-class RulErrorPoint:
-    cycle: int
-    true_rul: float
-    predicted_rul_median: float
-    signed_error: float
+CALIBRATION_LEVELS = tuple(np.round(np.arange(0.1, 1.0, 0.1), 10))  # nominal levels 0.1, 0.2, ..., 0.9
 
 
 @dataclass(frozen=True)
 class RulErrorSeries:
+    """One entry per prediction, in the order given."""
     cell_id: str
-    points: list[RulErrorPoint]
+    cycles: np.ndarray                 # int, the cycle each prediction was made at
+    true_rul: np.ndarray               # float, cycles from there to the true EOL (0 once past it)
+    predicted_rul_median: np.ndarray
+    signed_error: np.ndarray           # predicted minus true
     true_eol: int
 
 
@@ -40,27 +37,16 @@ class CalibrationCurve:
     area_deviation: float
 
 
-def rul_errors(
-    trace: NormalizedTrace,
-    predictions: list[RulPrediction],
-    eol_threshold: float = 0.5,
-) -> RulErrorSeries:
-    """Signed RUL prediction errors against the trace's first threshold crossing."""
+def rul_errors(trace: NormalizedTrace, at_cycles, rul_medians, eol_threshold: float = 0.5) -> RulErrorSeries:
+    """Signed errors of the median RULs predicted at `at_cycles` against the trace's first threshold crossing."""
+    if len(at_cycles) != len(rul_medians):
+        raise LengthMismatch(f"{len(at_cycles)} prediction cycles vs {len(rul_medians)} RUL medians")
     true_eol = trigger_cycle(trace, eol_threshold)
     if true_eol is None:
         raise NoTrueEol(f"{trace.cell_id}: trace never crosses {eol_threshold}")
-    points = []
-    for pred in predictions:
-        true_rul = max(true_eol - pred.at_cycle, 0)
-        points.append(
-            RulErrorPoint(
-                cycle=pred.at_cycle,
-                true_rul=float(true_rul),
-                predicted_rul_median=pred.rul_median,
-                signed_error=pred.rul_median - true_rul,
-            )
-        )
-    return RulErrorSeries(cell_id=trace.cell_id, points=points, true_eol=true_eol)
+    cycles, rul_medians = np.asarray(at_cycles), np.asarray(rul_medians, dtype=float)
+    true_rul = np.maximum(true_eol - cycles, 0).astype(float)
+    return RulErrorSeries(trace.cell_id, cycles, true_rul, rul_medians, rul_medians - true_rul, true_eol)
 
 
 def _quantiles_of(dist, levels: np.ndarray) -> np.ndarray:
@@ -70,12 +56,8 @@ def _quantiles_of(dist, levels: np.ndarray) -> np.ndarray:
     return np.asarray(fn(levels), dtype=float)
 
 
-def calibration_curve(
-    predictive_dists: list,
-    observations: list[float],
-    levels=tuple(np.round(np.arange(0.1, 1.0, 0.1), 10)),
-) -> CalibrationCurve:
-    """Observed coverage of central predictive intervals vs nominal level.
+def calibration_curve(predictive_dists: list, observations: list[float]) -> CalibrationCurve:
+    """Observed coverage of central predictive intervals at each of CALIBRATION_LEVELS.
 
     `predictive_dists` are per-observation distributions exposing
     quantile() (or scipy-style ppf()) that accepts a 1-D array of levels.
@@ -84,9 +66,7 @@ def calibration_curve(
         raise LengthMismatch(
             f"{len(predictive_dists)} distributions vs {len(observations)} observations"
         )
-    levels = np.asarray(levels, dtype=float)
-    if np.any((levels <= 0) | (levels >= 1)):
-        raise ValueError("levels must lie in (0, 1)")
+    levels = np.array(CALIBRATION_LEVELS)
     obs = np.asarray(observations, dtype=float)[:, None]
     n = len(obs)
     ends = np.concatenate([(1.0 - levels) / 2.0, (1.0 + levels) / 2.0])

@@ -98,7 +98,7 @@ class ParticleEnsemble:
                 raise SnapshotError("particle block holds a non-finite value")
             # owned, writable copies: the buffer view is read-only and `step` updates in place
             log10_a, b, weights = (np.array(row, dtype=float) for row in block)
-            if np.any(weights < 0) or not abs(float(np.sum(weights)) - 1.0) <= WEIGHT_SUM_TOL:
+            if not valid_weights(weights):
                 raise SnapshotError(f"weights must be >= 0 and sum to 1, got sum {float(np.sum(weights))!r}")
             last_cycle, seed, threshold = d["last_cycle"], d["seed"], d["resample_threshold"]
             for name, value in (("last_cycle", last_cycle), ("seed", seed)):
@@ -142,6 +142,11 @@ def init(config: FilterConfig) -> ParticleEnsemble:
         resample_threshold=config.resample_threshold,
         seed=config.seed,
     )
+
+
+def valid_weights(weights: np.ndarray) -> bool:
+    """Whether `weights` are all >= 0 and sum to 1 within WEIGHT_SUM_TOL (NaN fails both)."""
+    return bool(np.all(weights >= 0)) and abs(float(np.sum(weights)) - 1.0) <= WEIGHT_SUM_TOL
 
 
 def systematic_resample(weights: np.ndarray, u: float) -> np.ndarray:

@@ -50,9 +50,11 @@ class AttributeSpec:
 def make_exp_utility(l_u: float, h_u: float, r: float) -> ExpUtility:
     """Build the anchored exponential utility for bounds (l_u, h_u) and risk r.
 
-    DegenerateBounds when the bounds or r are not finite, or when the
+    DegenerateBounds when the bounds or r are not finite, when the
     coefficients, as `value` evaluates them, miss an anchor by more than
-    ANCHOR_TOL (both anchors round to one exp value, or an exp overflows).
+    ANCHOR_TOL (both anchors round to one exp value, or an exp overflows),
+    or when sigma is so large that phi's rounding error, about
+    |sigma| * eps, exceeds ANCHOR_TOL (r far above h_u - l_u).
     """
     if not all(map(math.isfinite, (l_u, h_u, r))):
         raise DegenerateBounds(f"l_u {l_u}, h_u {h_u} and r {r} must be finite")
@@ -67,7 +69,8 @@ def make_exp_utility(l_u: float, h_u: float, r: float) -> ExpUtility:
     except (OverflowError, ZeroDivisionError):
         u = None
     with np.errstate(over="ignore", invalid="ignore"):  # NaN or inf coefficients fail the comparisons
-        if u is None or not (abs(u._phi(l_u)) <= ANCHOR_TOL and abs(u._phi(h_u) - 1.0) <= ANCHOR_TOL):
+        if (u is None or abs(u.sigma_coef) * np.finfo(float).eps > ANCHOR_TOL
+                or not (abs(u._phi(l_u)) <= ANCHOR_TOL and abs(u._phi(h_u) - 1.0) <= ANCHOR_TOL)):
             raise DegenerateBounds(f"l_u {l_u}, h_u {h_u} and r {r} give no utility with phi(l_u) = 0, phi(h_u) = 1")
     return u
 

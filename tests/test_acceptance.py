@@ -12,7 +12,7 @@ from scipy.stats import norm
 
 import cell_twin as ct
 from cell_twin.cli import main as cli_main
-from cell_twin.evaluation import calibration_curve
+from cell_twin.evaluation import CALIBRATION_LEVELS, calibration_curve
 from cell_twin.model import _LN10, eol_cycles
 from cell_twin.prognosis import EolDistribution
 from cell_twin.synth import synth_fleet_csv
@@ -226,15 +226,15 @@ class TestCriterion8CalibrationOracle:
         sigmas = rng.uniform(20, 80, n)
         dists = [norm(m, s) for m, s in zip(mus, sigmas)]
         obs = rng.normal(mus, sigmas)
-        levels = np.round(np.arange(0.1, 1.0, 0.1), 10)
-        curve = calibration_curve(dists, obs, levels)
+        curve = calibration_curve(dists, obs)
+        assert curve.levels.tolist() == list(CALIBRATION_LEVELS)
         assert np.all(np.abs(curve.observed - curve.levels) <= 0.02)
         assert curve.area_deviation < 0.03
         report(f"PASS 8a: calibrated oracle max gap {np.max(np.abs(curve.observed - curve.levels)):.4f}, area {curve.area_deviation:.4f}")
 
     def test_all_at_median(self):
         dists = [norm(0.0, 1.0)] * 100
-        curve = calibration_curve(dists, [0.0] * 100, np.round(np.arange(0.1, 1.0, 0.1), 10))
+        curve = calibration_curve(dists, [0.0] * 100)
         assert np.all(curve.observed == 1.0)
         report("PASS 8b: all-at-median fixture gives observed coverage 1 at every level")
 

@@ -4,10 +4,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import cell_twin
-from cell_twin.cli import main
+from cell_twin.cli import decoded, main, prediction_columns, write_csv
+from cell_twin.errors import DataError
 from cell_twin.synth import synth_fleet_csv
 from conftest import rise_then_fade_trace
 
@@ -304,6 +309,21 @@ def truncate(pattern: str, at_line: bool = False):
     return edit
 
 
+def set_prediction(key, value):
+    """An output edit that sets `key` of test1_c000's first prediction to `value`."""
+    def edit(out: Path):
+        path = out / "sim" / "test1_c000" / "predictions.json"
+        preds = json.loads(path.read_text())
+        preds[0][key] = value
+        path.write_text(json.dumps(preds))
+    return edit
+
+
+def negative_eol_weight(out: Path):
+    path = sorted(out.glob("sim/test1_c000/eol_*.csv"))[0]
+    path.write_text("eol_cycle,weight\n100.0,-0.5\n200.0,1.5\n")
+
+
 SPEC = {"name": "total_ah", "l_u": 300.0, "h_u": 1000.0, "r": 200.0, "extractor": "total_ah"}
 
 # (command, config overrides, CELL_TWIN_SEED, dataset edit, edit of earlier outputs, exit code, stderr must name)
@@ -333,11 +353,31 @@ BAD_INPUTS = {
         "retire", {"utilities": [{**SPEC, "weight": 1.0}, {**SPEC, "extractor": "mtbc", "weight": 1.0}]},
         None, None, None, 2, "utility names",
     ),
+    "utility_name_cycle": (
+        "retire", {"utilities": [{**SPEC, "name": "cycle", "weight": 1.0}]}, None, None, None, 2, "utility names"
+    ),
+    "utility_name_phi_clash": (
+        "retire",
+        {"utilities": [{**SPEC, "name": "a", "weight": 1.0}, {**SPEC, "name": "phi_a", "weight": 1.0}]},
+        None, None, None, 2, "utility names",
+    ),
+    "utility_name_int": (
+        "retire", {"utilities": [{**SPEC, "name": 5, "weight": 1.0}]}, None, None, None, 2, "utility names"
+    ),
+    "utility_r_ill_conditioned": (
+        "retire", {"utilities": [{**SPEC, "l_u": 0.0, "h_u": 1.0, "r": 1e15, "weight": 1.0}]},
+        None, None, None, 2, "l_u",
+    ),
     "sim_dir_stale": ("evaluate", {}, None, None, lambda out: (out / "sim" / "ghost").mkdir(), 3, "ghost"),
     "predictions_truncated": (
         "evaluate", {}, None, None, truncate("sim/test1_c000/predictions.json"), 3, "predictions.json"
     ),
     "eol_truncated": ("evaluate", {}, None, None, truncate("sim/test1_c000/eol_*.csv", at_line=True), 3, "eol_"),
+    "eol_negative_weight": ("evaluate", {}, None, None, negative_eol_weight, 3, "eol_"),
+    "predictions_cycle_float": (
+        "evaluate", {}, None, None, set_prediction("at_cycle", 369.5), 3, "predictions.json"
+    ),
+    "predictions_rul_str": ("evaluate", {}, None, None, set_prediction("rul_median", "x"), 3, "predictions.json"),
 }
 
 
@@ -371,3 +411,71 @@ class TestBadInputExit:
         assert err[0].startswith("config error:" if code == 2 else "data error:")
         if command == "ingest":
             assert not (out / "cells").exists()
+
+
+PREDICTION = {"at_cycle": 300, "rul_median": 250.5, "rul_quantiles": {"0.5": 250.5}, "eol_threshold": 0.5}
+
+
+class TestPredictionColumns:
+    def test_columns(self):
+        at_cycle, rul_median = prediction_columns(json.dumps([PREDICTION, {**PREDICTION, "at_cycle": 400}]))
+        assert at_cycle.dtype.kind == "i" and at_cycle.tolist() == [300, 400]
+        assert rul_median.dtype == np.float64 and rul_median.tolist() == [250.5, 250.5]
+
+    def test_empty(self):
+        at_cycle, rul_median = prediction_columns("[]")
+        assert len(at_cycle) == len(rul_median) == 0
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"at_cycle": 369.5}, {"at_cycle": "12"}, {"at_cycle": None},
+            {"at_cycle": [300]}, {"rul_median": "x"}, {"rul_median": None},
+            {"rul_quantiles": None, "drop": "rul_quantiles"}, {"drop": "eol_threshold"}, {"drop": "at_cycle"},
+        ],
+        ids=[
+            "cycle_float", "cycle_str", "cycle_null", "cycle_list", "rul_str", "rul_null",
+            "no_quantiles", "no_threshold", "no_cycle",
+        ],
+    )
+    def test_mistyped_or_missing_is_data_error(self, tmp_path, edit):
+        bad = {**PREDICTION, **edit}
+        bad.pop(edit.get("drop"), None)
+        bad.pop("drop", None)
+        path = tmp_path / "predictions.json"
+        path.write_text(json.dumps([PREDICTION, bad]))
+        with pytest.raises(DataError, match="predictions.json"):
+            decoded(path, prediction_columns)
+
+
+def row_writer(header, rows) -> str:
+    """The row writer `write_csv` replaced (one `isinstance` per value), kept as its reference."""
+    def fmt(x):
+        return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
+    return "\n".join([",".join(header), *(",".join(fmt(x) for x in row) for row in rows)]) + "\n"
+
+
+# signed zeros, infinities, NaN, subnormals and values >= 1e16 (where repr switches to exponent form)
+EDGE_FLOATS = [
+    -0.0, 0.0, float("inf"), -float("inf"), float("nan"), 5e-324, -2.5e-310, 1e16, -3.0e300, 1.7976931348623157e308
+]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+
+
+class TestWriteCsv:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 50).flatmap(lambda n: st.tuples(
+        hnp.arrays(np.float64, n, elements=FLOATS),
+        hnp.arrays(np.int64, n),
+        hnp.arrays(np.float64, n, elements=FLOATS),
+    )))
+    def test_bytes_equal_row_writer(self, tmp_path_factory, cols):
+        x, k, y = cols
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        write_csv(path, {"x": x, "cycle": k, "y": y.tolist()})  # a list of floats, as retire passes
+        assert path.read_bytes() == row_writer(["x", "cycle", "y"], zip(x, k, y.tolist())).encode("utf-8")
+
+    def test_unequal_lengths_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="unequal lengths"):
+            write_csv(tmp_path / "t.csv", {"a": np.zeros(3), "b": np.zeros(2)})
+        assert not (tmp_path / "t.csv").exists()

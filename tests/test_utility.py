@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cell_twin import (
@@ -11,7 +11,7 @@ from cell_twin import (
     mtbc,
 )
 from cell_twin.errors import ConfigError, DegenerateBounds, LengthMismatch, NonPositiveRisk
-from cell_twin.utility import Attribute
+from cell_twin.utility import ANCHOR_TOL, Attribute
 
 
 class TestMakeExpUtility:
@@ -42,12 +42,15 @@ class TestMakeExpUtility:
     def test_degenerate_bounds(self):
         with pytest.raises(DegenerateBounds):
             make_exp_utility(10, 10, 1)
+        with pytest.raises(DegenerateBounds):  # sigma ~ r / (h_u - l_u) = 1e15: phi would move in steps of 0.125
+            make_exp_utility(0.0, 1.0, 1e15)
 
     def test_nonpositive_risk(self):
         with pytest.raises(NonPositiveRisk):
             make_exp_utility(0, 1, 0)
 
     @given(st.floats(), st.floats(), st.floats())
+    @example(0.0, 1.0, 1e15)
     def test_anchored_or_config_error(self, l_u, h_u, r):
         try:
             u = make_exp_utility(l_u, h_u, r)
@@ -55,6 +58,7 @@ class TestMakeExpUtility:
             return
         assert u.value(l_u) == pytest.approx(0.0, abs=1e-9)
         assert u.value(h_u) == pytest.approx(1.0, abs=1e-9)
+        assert abs(u.sigma_coef) * np.finfo(float).eps <= ANCHOR_TOL  # phi's rounding error
 
 
 class TestEvalUtility:

@@ -36,7 +36,6 @@ def demo(workdir: Path) -> None:
         "filter": {"n_particles": 500},
         "thresholds": {"trigger": 0.95, "eol": 0.5, "retire_floor": 0.5},
         "schedule": {"stride": 150},
-        "workers": 2,
     }))
 
     for cmd in ("ingest", "calibrate", "simulate", "evaluate"):

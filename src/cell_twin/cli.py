@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -48,7 +47,6 @@ class RunConfig:
     extend_floor: float
     trigger_persist: int
     discharge_rate_c: float
-    workers: int
 
 
 def _checked(name: str, value, low, high=math.inf, integer: bool = False):
@@ -87,8 +85,8 @@ def load_config(path, seed_override: int | None = None, out_override: str | None
             )
         names = [spec.name for spec in specs]
         header = ["cycle", "utility", *(f"phi_{n}" for n in names), *names]  # utility_curve.csv's columns
-        if not all(isinstance(n, str) for n in names) or len(set(header)) < len(header):
-            raise ConfigError(f"utility names must be distinct strings that give distinct columns {header}")
+        if not all(isinstance(n, str) and not set(n) & set(',"\r\n') for n in names) or len(set(header)) < len(header):
+            raise ConfigError(f"utility names must be distinct strings without , \" or line breaks in header {header}")
         if not specs:
             specs = utility.default_attribute_specs()
         th = raw.get("thresholds", {})
@@ -113,7 +111,6 @@ def load_config(path, seed_override: int | None = None, out_override: str | None
             extend_floor=_checked("extend.floor", ext.get("floor", 0.5), 0, 1),
             trigger_persist=_checked("trigger_persist", raw.get("trigger_persist", 1), 1, integer=True),
             discharge_rate_c=_checked("discharge_rate_c", raw.get("discharge_rate_c", 4.0), 0),
-            workers=_checked("workers", raw.get("workers", 1), 1, integer=True),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"invalid config {path}: {e}") from None
@@ -186,8 +183,11 @@ def with_fleet_fit(cfg: RunConfig) -> RunConfig:
     path = cfg.output_dir / "fleet_fit.json"
     if not path.exists():
         return cfg
-    fit = decoded(path, calib.FleetFit.from_json)
-    return replace(cfg, filter=replace(cfg.filter, init_log10_a=fit.median_log10_a, init_b=fit.median_b))
+    def centred(text: str) -> filtering.FilterConfig:  # FilterConfig rejects a median it cannot draw around
+        fit = calib.FleetFit.from_json(text)
+        return replace(cfg.filter, init_log10_a=fit.median_log10_a, init_b=fit.median_b)
+
+    return replace(cfg, filter=decoded(path, centred))
 
 
 def prediction_schedule(cfg: RunConfig, trace: dataset.NormalizedTrace) -> list[int]:
@@ -271,14 +271,9 @@ def cmd_simulate(cfg: RunConfig, cell_id: str | None) -> int:
     else:
         targets = sorted(c for c, (s, _) in traces.items() if s is not dataset.Split.TRAIN)
     cfg = with_fleet_fit(cfg)
-    # per-cell seeds are derived from (seed, cell_id), so results do not
-    # depend on worker count or completion order
-    def run(c):
-        return c, _simulate_cell(cfg, c, traces[c][1])
-
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        results = list(pool.map(run, targets))
-    for c, schedule in results:
+    # per-cell seeds come from (seed, cell_id): a cell's outputs do not depend on the other cells
+    for c in targets:
+        schedule = _simulate_cell(cfg, c, traces[c][1])
         print(f"{c}: {len(schedule)} prediction cycles")
     return EXIT_OK
 

@@ -39,8 +39,10 @@ class FilterConfig:
     def __post_init__(self):
         if self.n_particles < 2:
             raise ValueError("need at least 2 particles")
-        if self.init_spread_log10_a <= 0 or self.init_spread_b <= 0:
-            raise ValueError("initial spreads must be positive")
+        for name, low in (("init_log10_a", -math.inf), ("init_b", 0), ("init_spread_log10_a", 0), ("init_spread_b", 0)):
+            value = getattr(self, name)  # init redraws b <= 0; with init_b > 0 a draw is kept with probability > 1/2
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not low < value < math.inf:
+                raise ValueError(f"filter.{name} must be a number in ({low}, inf), got {value!r}")
         if not 0.0 < self.resample_threshold <= 1.0:
             raise ValueError("resample_threshold must be in (0, 1]")
 

@@ -40,8 +40,9 @@ def fade_q(ln_a, b, ln_k):
 
 
 def eol_cycles(ln_a, b, threshold: float):
-    """Real-valued cycle where the fade curve crosses `threshold`: ((1-t)/a)**(1/b)."""
-    return np.exp((math.log(1.0 - threshold) - ln_a) / b)
+    """Real-valued cycle where the fade curve crosses `threshold`: ((1-t)/a)**(1/b); inf where that overflows."""
+    with np.errstate(over="ignore"):
+        return np.exp((math.log(1.0 - threshold) - ln_a) / b)
 
 
 def gaussian_log_lik(resid, sigma: float):

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .errors import CellTwinError
 from .filtering import ParticleEnsemble
 from .model import _LN10, eol_cycles, fade_q
 
@@ -35,17 +37,10 @@ class CapacityProjection:
     def cycles(self) -> np.ndarray:
         return np.arange(self.from_cycle, self.horizon_cycle + 1)
 
-    @property
+    @cached_property
     def bands(self) -> np.ndarray:
-        """(3, horizon) 5/50/95% bands per cycle, floored at eol_threshold; built on first read.
-
-        Cached in the instance `__dict__` rather than by `functools.cached_property`,
-        whose per-class lock (Python <= 3.11) would serialise simulate's threads.
-        """
-        bands = self.__dict__.get("_bands")
-        if bands is None:
-            bands = self.__dict__["_bands"] = _bands(self)
-        return bands
+        """(3, horizon) 5/50/95% bands per cycle, floored at eol_threshold; built on first read."""
+        return _bands(self)
 
     @property
     def q05(self) -> np.ndarray:
@@ -133,16 +128,19 @@ def project(
 ) -> CapacityProjection:
     """Freeze every particle's parameters and summarize its end of life.
 
-    The horizon is capped at the weighted 99th percentile of the
-    per-particle analytic EOLs to bound output size.  The 5/50/95% bands
-    (per-cycle weighted lower quantiles, the rule of
+    The horizon is capped at the weighted 99th percentile of the per-particle
+    analytic EOLs to bound output size (CellTwinError if it is not finite).
+    The 5/50/95% bands (per-cycle weighted lower quantiles, the rule of
     `EolDistribution.quantile`) are built only when read.
     """
     if from_cycle < ens.last_cycle:
         raise ValueError("cannot project from before the last assimilated cycle")
     ln_a = _LN10 * ens.log10_a
     eols = eol_cycles(ln_a, ens.b, eol_threshold)
-    horizon = int(math.ceil(EolDistribution(eols, ens.weights).quantile(0.99)))
+    eol99 = EolDistribution(eols, ens.weights).quantile(0.99)
+    if not math.isfinite(eol99):
+        raise CellTwinError(f"cannot project from cycle {from_cycle}: the weighted 99th-percentile EOL is {eol99}")
+    horizon = int(math.ceil(eol99))
     return CapacityProjection(
         from_cycle=from_cycle,
         horizon_cycle=max(horizon, from_cycle),

@@ -5,6 +5,7 @@ run on a synthetic stand-in fleet and reported without gating.
 
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -152,7 +153,6 @@ def fleet(tmp_path_factory):
         "seed": 3,
         "filter": {"n_particles": 400},
         "schedule": {"stride": 200},
-        "workers": 2,
     }
     cfg_path = root / "config.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -241,10 +241,12 @@ class TestCriterion8CalibrationOracle:
 
 class TestCriterion9Determinism:
     def test_pipeline_byte_identical_across_runs_and_workers(self, tmp_path):
+        # simulate runs its cells one after another; a cell simulated alone (`--cell`)
+        # must write the bytes it writes in a full run
         csv_path = tmp_path / "fleet.csv"
         synth_fleet_csv(csv_path, n_train=5, n_test1=2, n_test2=1, seed=13)
 
-        def full_run(name, workers):
+        def config(name):
             out = tmp_path / name
             cfg_path = tmp_path / f"{name}.json"
             cfg_path.write_text(
@@ -255,22 +257,35 @@ class TestCriterion9Determinism:
                         "seed": 21,
                         "filter": {"n_particles": 120},
                         "schedule": {"stride": 200},
-                        "workers": workers,
                     }
                 )
             )
+            return cfg_path, out
+
+        def tree(root):
+            return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+        def full_run(name):
+            cfg_path, out = config(name)
             for cmd in ["ingest", "calibrate", "simulate", "evaluate"]:
                 assert cli_main([cmd, "--config", str(cfg_path)]) == 0
             cell = sorted(json.loads((out / "manifest.json").read_text()))[-1]
             assert cli_main(["retire", "--config", str(cfg_path), "--cell", cell]) == 0
-            return {
-                str(p.relative_to(out)): p.read_bytes()
-                for p in sorted(out.rglob("*"))
-                if p.is_file()
-            }
+            return tree(out)
 
-        a = full_run("a", workers=1)
-        b = full_run("b", workers=1)
-        c = full_run("c", workers=4)
-        assert a == b == c
-        report(f"PASS 9: {len(a)} output files byte-identical across reruns and worker counts")
+        a = full_run("a")
+        b = full_run("b")
+        assert a == b
+        cfg_path, prepared = config("c")
+        for cmd in ["ingest", "calibrate"]:
+            assert cli_main([cmd, "--config", str(cfg_path)]) == 0
+        cells = sorted(c for c, s in json.loads((prepared / "manifest.json").read_text()).items() if s != "train")
+        for cell in cells:
+            out = shutil.copytree(prepared, tmp_path / f"alone_{cell}")
+            assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out), "--cell", cell]) == 0
+            alone = tree(out / "sim")
+            assert alone and alone == {k[len("sim/"):]: v for k, v in a.items() if k.startswith(f"sim/{cell}/")}
+        report(
+            f"PASS 9: {len(a)} output files byte-identical across reruns; "
+            f"{len(cells)} test cells byte-identical simulated alone"
+        )

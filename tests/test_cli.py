@@ -28,7 +28,6 @@ def make_config(tmp_path, out_name="out", **overrides):
         "filter": {"n_particles": 150},
         "thresholds": {"trigger": 0.95, "eol": 0.5, "retire_floor": 0.5},
         "schedule": {"stride": 150},
-        "workers": 1,
     }
     cfg.update(overrides)
     path = tmp_path / f"config_{out_name}.json"
@@ -259,8 +258,8 @@ class TestEvaluate:
 class TestEndToEndDeterminism:
     def test_full_pipeline_byte_identical(self, tmp_path):
         trees = []
-        for name, workers in [("run_a", 1), ("run_b", 4)]:
-            cfg, out = make_config(tmp_path, out_name=name, workers=workers)
+        for name in ["run_a", "run_b"]:
+            cfg, out = make_config(tmp_path, out_name=name)
             for cmd in ["ingest", "calibrate", "simulate"]:
                 assert run(cmd, cfg) == 0
             cell = sorted(json.loads((out / "manifest.json").read_text()))[-1]
@@ -319,6 +318,14 @@ def set_prediction(key, value):
     return edit
 
 
+def set_fit(key, value):
+    """An output edit that sets `key` of fleet_fit.json to `value`."""
+    def edit(out: Path):
+        path = out / "fleet_fit.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+    return edit
+
+
 def negative_eol_weight(out: Path):
     path = sorted(out.glob("sim/test1_c000/eol_*.csv"))[0]
     path.write_text("eol_cycle,weight\n100.0,-0.5\n200.0,1.5\n")
@@ -332,9 +339,15 @@ BAD_INPUTS = {
     "window_0": ("ingest", {"normalize_window": 0}, None, None, None, 2, "normalize_window"),
     "discharge_rate_0": ("retire", {"discharge_rate_c": 0}, None, None, None, 2, "discharge_rate_c"),
     "seed_env_abc": ("simulate", {}, "abc", None, None, 2, "CELL_TWIN_SEED"),
-    "workers_str": ("simulate", {"workers": "2"}, None, None, None, 2, "workers"),
-    "workers_0": ("simulate", {"workers": 0}, None, None, None, 2, "workers"),
-    "workers_neg": ("simulate", {"workers": -1}, None, None, None, 2, "workers"),
+    "init_b_negative": ("simulate", {"filter": {"n_particles": 150, "init_b": -5}}, None, None, None, 2, "init_b"),
+    "init_log10_a_str": (
+        "simulate", {"filter": {"n_particles": 150, "init_log10_a": "x"}}, None, None, None, 2, "init_log10_a"
+    ),
+    "fit_b_negative": ("simulate", {}, None, None, set_fit("median_b", -5.0), 3, "fleet_fit.json"),
+    "horizon_unbounded": (
+        "simulate", {"filter": {"n_particles": 150, "init_b": 0.3}, "schedule": {"cycles": [1]}},
+        None, None, lambda out: (out / "fleet_fit.json").unlink(), 4, "cycle 1",
+    ),
     "particles_float": ("simulate", {"filter": {"n_particles": 150.5}}, None, None, None, 2, "n_particles"),
     "cycles_float": ("simulate", {"schedule": {"cycles": [100.5, 200]}}, None, None, None, 2, "schedule.cycles"),
     "q_above_bound": ("ingest", {}, None, ("train_c000", scale_late_row), None, 3, "train_c000"),
@@ -361,6 +374,9 @@ BAD_INPUTS = {
         {"utilities": [{**SPEC, "name": "a", "weight": 1.0}, {**SPEC, "name": "phi_a", "weight": 1.0}]},
         None, None, None, 2, "utility names",
     ),
+    "utility_name_comma": (
+        "retire", {"utilities": [{**SPEC, "name": "a,b", "weight": 1.0}]}, None, None, None, 2, "utility names"
+    ),
     "utility_name_int": (
         "retire", {"utilities": [{**SPEC, "name": 5, "weight": 1.0}]}, None, None, None, 2, "utility names"
     ),
@@ -382,7 +398,7 @@ BAD_INPUTS = {
 
 
 class TestBadInputExit:
-    """Every bad config value or data file ends in exit 2 or 3 with one message."""
+    """Every bad config value or data file ends in exit 2, 3 or 4 with one message."""
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
     def test_exit_code_and_one_line(self, tmp_path, case):
@@ -408,7 +424,7 @@ class TestBadInputExit:
         err = proc.stderr.splitlines()
         assert proc.returncode == code, proc.stderr
         assert len(err) == 1 and "Traceback" not in proc.stderr and names in err[0]
-        assert err[0].startswith("config error:" if code == 2 else "data error:")
+        assert err[0].startswith({2: "config error:", 3: "data error:", 4: "error:"}[code])
         if command == "ingest":
             assert not (out / "cells").exists()
 

@@ -59,6 +59,15 @@ class TestInit:
         ens = init(FilterConfig(n_particles=2000, init_b=0.5, init_spread_b=1.0, seed=3))
         assert np.all(ens.b > 0)
 
+    @pytest.mark.parametrize("prior", [
+        {"init_b": -5.0}, {"init_b": 0.0}, {"init_b": math.nan}, {"init_b": True}, {"init_log10_a": "x"},
+        {"init_log10_a": math.inf}, {"init_spread_b": math.nan}, {"init_spread_log10_a": None},
+    ])
+    def test_prior_init_cannot_draw_from_rejected(self, prior):
+        # init_b = -5 would make init's redraw of b <= 0 loop for ever
+        with pytest.raises(ValueError, match=next(iter(prior))):
+            FilterConfig(**prior)
+
 
 class TestStep:
     def test_equal_residuals_keep_weights(self):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cell_twin import FilterConfig, NoiseSpec, assimilate, init, project, rul
+from cell_twin.errors import CellTwinError
 from cell_twin.filtering import ParticleEnsemble
 from cell_twin.model import _LN10, fade_q
 from cell_twin.prognosis import BAND_BLOCK, EolDistribution
@@ -139,6 +140,14 @@ class TestProject:
         assimilate(ens, trace, 200, NoiseSpec())
         assert np.array_equal(read_later.bands, bands)
         assert read_later.bands.shape == (3, read_later.horizon_cycle - 100 + 1)
+
+    @pytest.mark.parametrize("ens", [
+        make_ensemble([-15.77] * 100, [5.45] * 98 + [1e-3] * 2),  # 2% of the weight: EOL overflows to inf
+        init(FilterConfig(n_particles=200, init_b=0.3, seed=1)),
+    ])
+    def test_infinite_eol_percentile_is_a_cell_twin_error(self, ens):
+        with pytest.raises(CellTwinError, match="cycle 0"):
+            project(ens, 0)
 
     def test_projection_pure(self):
         ens = make_ensemble([-15.77, -15.5], [5.45, 5.2])

@@ -2,7 +2,7 @@
 
 Runs ingest, calibrate, simulate and evaluate on a synthetic fleet
 (`synth_fleet_csv(n_train=10, n_test1=5, n_test2=5, seed=13)`, 400
-particles, schedule stride 150, 2 workers, default seed), then `retire`
+particles, schedule stride 150, default seed), then `retire`
 on every test cell, and prints the number of files written and one
 combined hash: sha256 over the sorted lines `path\\0sha256(file)\\n`,
 with paths relative to the output directory.
@@ -53,7 +53,6 @@ def run_pipeline(work: Path) -> Path:
         "output_dir": str(out),
         "filter": {"n_particles": 400},
         "schedule": {"stride": 150},
-        "workers": 2,
     }))
 
     def run(*argv):

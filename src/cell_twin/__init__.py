@@ -7,7 +7,7 @@ and optimizes the retirement cycle with a multi-attribute utility.
 
 from . import calib, dataset, evaluation, filtering, model, prognosis, retirement, synth, utility
 from .dataset import CellRecord, NormalizedTrace, Split, extend_linear, load_cells, normalize, trigger_cycle
-from .filtering import FilterConfig, ParticleEnsemble, assimilate, init, posterior_summary, step
+from .filtering import FilterConfig, ParticleEnsemble, assimilate, init, step
 from .model import NoiseSpec
 from .prognosis import CapacityProjection, RulPrediction, project, rul
 from .retirement import RetirementDecision, candidate_cycles, optimize_retirement

@@ -34,7 +34,6 @@ EXIT_RUNTIME = 4
 class RunConfig:
     dataset: Path
     output_dir: Path
-    split_manifest: Path | None
     filter: filtering.FilterConfig       # its seed is the run's base seed
     utilities: list[utility.AttributeSpec]
     trigger: float
@@ -58,7 +57,18 @@ def _checked(name: str, value, low, high=math.inf, integer: bool = False):
     return value
 
 
-def load_config(path, seed_override: int | None = None, out_override: str | None = None) -> RunConfig:
+def _known(block, prefix: str, keys: set[str]) -> dict:
+    """`block` if it is an object whose keys are all in `keys`; else ConfigError naming the others
+    (as `prefix` + key), sorted."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{prefix.rstrip('.') or 'config'} must be an object, got {block!r}")
+    unknown = sorted(set(block) - keys)
+    if unknown:
+        raise ConfigError("unknown config keys: " + ", ".join(prefix + k for k in unknown))
+    return block
+
+
+def load_config(path, out_override: str | None = None) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as f:
             raw = json.load(f)
@@ -66,15 +76,18 @@ def load_config(path, seed_override: int | None = None, out_override: str | None
         raise ConfigError(f"cannot read config {path}: {e}") from None
 
     try:
-        seed = raw.get("seed", 0) if seed_override is None else seed_override
-        seed = _checked("seed", seed, 0, integer=True)
+        # `workers` is accepted and ignored: perfbench's FleetBatch still writes it
+        _known(raw, "", {"dataset", "output_dir", "seed", "filter", "utilities", "thresholds", "schedule", "extend",
+                         "normalize_window", "trigger_persist", "discharge_rate_c", "workers"})
+        seed = _checked("seed", raw.get("seed", 0), 0, integer=True)
         fraw = dict(raw.get("filter", {}))
         if "n_particles" in fraw:
             _checked("filter.n_particles", fraw["n_particles"], 2, integer=True)
         sigmas = {k: fraw.pop(k) for k in ("sigma_meas", "sigma_log_a", "sigma_b") if k in fraw}
         fcfg = filtering.FilterConfig(noise=NoiseSpec(**sigmas), seed=seed, **fraw)
         specs = []
-        for u in raw.get("utilities", []):
+        for i, u in enumerate(raw.get("utilities", [])):
+            _known(u, f"utilities[{i}].", {"name", "extractor", "l_u", "h_u", "r", "weight"})
             specs.append(
                 utility.AttributeSpec(
                     name=u["name"],
@@ -89,16 +102,15 @@ def load_config(path, seed_override: int | None = None, out_override: str | None
             raise ConfigError(f"utility names must be distinct strings without , \" or line breaks in header {header}")
         if not specs:
             specs = utility.default_attribute_specs()
-        th = raw.get("thresholds", {})
-        sched = raw.get("schedule", {})
-        ext = raw.get("extend", {})
+        th = _known(raw.get("thresholds", {}), "thresholds.", {"trigger", "eol", "retire_floor"})
+        sched = _known(raw.get("schedule", {}), "schedule.", {"stride", "cycles"})
+        ext = _known(raw.get("extend", {}), "extend.", {"tail", "floor"})
         cycles = sched.get("cycles")
         if cycles is not None:
             cycles = [_checked("schedule.cycles", k, 1, integer=True) for k in cycles]
         cfg = RunConfig(
             dataset=Path(raw["dataset"]),
             output_dir=Path(out_override or raw.get("output_dir", "out")),
-            split_manifest=Path(raw["split_manifest"]) if raw.get("split_manifest") else None,
             filter=fcfg,
             utilities=specs,
             trigger=_checked("thresholds.trigger", th.get("trigger", 0.95), 0, 1),
@@ -119,8 +131,6 @@ def load_config(path, seed_override: int | None = None, out_override: str | None
         raise ConfigError("schedule cycles must be strictly increasing")
     if not cfg.dataset.exists():
         raise ConfigError(f"dataset file not found: {cfg.dataset}")
-    if cfg.split_manifest is not None and not cfg.split_manifest.exists():
-        raise ConfigError(f"split manifest not found: {cfg.split_manifest}")
     return cfg
 
 
@@ -202,8 +212,7 @@ def prediction_schedule(cfg: RunConfig, trace: dataset.NormalizedTrace) -> list[
 # --- commands ---
 
 def cmd_ingest(cfg: RunConfig) -> int:
-    manifest = dataset.load_split_manifest(cfg.split_manifest) if cfg.split_manifest else None
-    cells = dataset.load_cells(cfg.dataset, manifest)
+    cells = dataset.load_cells(cfg.dataset)
     traces = [dataset.normalize(cell, cfg.normalize_window) for cell in cells]
     # every cell is checked before the first file is written
     traces = [dataset.extend_linear(t, cfg.extend_tail, cfg.extend_floor) for t in traces]
@@ -376,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ["ingest", "calibrate", "simulate", "retire", "evaluate"]:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
         if name in ("simulate", "retire"):
             p.add_argument("--cell", default=None, required=(name == "retire"))
@@ -388,14 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        seed = args.seed
-        env_seed = os.environ.get("CELL_TWIN_SEED")
-        if seed is None and env_seed:
-            try:
-                seed = int(env_seed)
-            except ValueError:
-                raise ConfigError(f"CELL_TWIN_SEED must be an integer, got {env_seed!r}") from None
-        cfg = load_config(args.config, seed_override=seed, out_override=args.out)
+        cfg = load_config(args.config, out_override=args.out)
         if args.command == "ingest":
             return cmd_ingest(cfg)
         if args.command == "calibrate":

@@ -20,7 +20,6 @@ from .errors import (
     MalformedRow,
     NonDecreasingTail,
     NonMonotoneCycles,
-    UnknownCell,
 )
 
 MAX_EXTENSION = 10  # x the last measured cycle; synthetic fleets need at most 0.4
@@ -104,27 +103,12 @@ class NormalizedTrace:
         )
 
 
-def load_split_manifest(path) -> dict:
-    """Read a two-column cell_id,split CSV into a mapping."""
-    manifest = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["cell_id", "split"]:
-            raise MalformedRow(f"{path}: expected header cell_id,split")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) < 2:
-                raise MalformedRow(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-            manifest[row[0].strip()] = row[1].strip()
-    return manifest
-
-
-def load_cells(path, split_manifest: dict | None = None) -> list[CellRecord]:
+def load_cells(path) -> list[CellRecord]:
     """Load per-cycle capacity rows, grouped into one record per cell.
 
     The CSV must carry the columns ``cell_id,split,cycle,
-    discharge_capacity_ah,nominal_capacity_ah``.  A separate manifest
-    mapping cell_id -> split overrides / supplies the split column.
+    discharge_capacity_ah,nominal_capacity_ah``; every row of a cell names
+    the same split.
     """
     split_names = {s.value for s in Split}
     rows_by_cell: dict[str, list[tuple[int, float, float]]] = {}
@@ -147,12 +131,7 @@ def load_cells(path, split_manifest: dict | None = None) -> list[CellRecord]:
                 nominal = float(row[4])
             except ValueError as e:
                 raise MalformedRow(f"{path}:{lineno}: non-numeric field ({e})") from None
-            if split_manifest is not None:
-                if cell_id not in split_manifest:
-                    raise UnknownCell(f"{path}:{lineno}: cell {cell_id!r} missing from split manifest")
-                split_name = split_manifest[cell_id]
-            else:
-                split_name = row[1].strip()
+            split_name = row[1].strip()
             if split_name not in split_names:
                 raise MalformedRow(f"{path}:{lineno}: unknown split {split_name!r}")
             prev = split_by_cell.setdefault(cell_id, split_name)

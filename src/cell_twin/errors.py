@@ -27,10 +27,6 @@ class DuplicateCycle(DataError):
     pass
 
 
-class UnknownCell(DataError):
-    pass
-
-
 class NonMonotoneCycles(DataError):
     pass
 

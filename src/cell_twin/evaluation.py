@@ -49,18 +49,11 @@ def rul_errors(trace: NormalizedTrace, at_cycles, rul_medians, eol_threshold: fl
     return RulErrorSeries(trace.cell_id, cycles, true_rul, rul_medians, rul_medians - true_rul, true_eol)
 
 
-def _quantiles_of(dist, levels: np.ndarray) -> np.ndarray:
-    fn = getattr(dist, "quantile", None) or getattr(dist, "ppf", None)
-    if fn is None:
-        raise TypeError(f"{dist!r} exposes neither quantile() nor ppf()")
-    return np.asarray(fn(levels), dtype=float)
-
-
 def calibration_curve(predictive_dists: list, observations: list[float]) -> CalibrationCurve:
     """Observed coverage of central predictive intervals at each of CALIBRATION_LEVELS.
 
-    `predictive_dists` are per-observation distributions exposing
-    quantile() (or scipy-style ppf()) that accepts a 1-D array of levels.
+    `predictive_dists` are per-observation distributions whose quantile(),
+    like `EolDistribution.quantile`, accepts a 1-D array of levels.
     """
     if len(predictive_dists) != len(observations):
         raise LengthMismatch(
@@ -70,7 +63,7 @@ def calibration_curve(predictive_dists: list, observations: list[float]) -> Cali
     obs = np.asarray(observations, dtype=float)[:, None]
     n = len(obs)
     ends = np.concatenate([(1.0 - levels) / 2.0, (1.0 + levels) / 2.0])
-    q = np.array([_quantiles_of(dist, ends) for dist in predictive_dists]).reshape(n, 2, len(levels))
+    q = np.array([dist.quantile(ends) for dist in predictive_dists]).reshape(n, 2, len(levels))
     observed = ((q[:, 0] <= obs) & (obs <= q[:, 1])).sum(axis=0) / n
     return CalibrationCurve(
         levels=levels,

@@ -211,13 +211,3 @@ def assimilate(
         except DegenerateWeights as e:
             raise DegenerateWeights(f"{trace.cell_id}: {e}") from None
     return ens
-
-
-def posterior_summary(ens: ParticleEnsemble) -> tuple[float, float, np.ndarray]:
-    """Weighted mean and 2x2 covariance in (log10 a, b) coordinates."""
-    w = ens.weights
-    mean_la = float(np.sum(w * ens.log10_a))
-    mean_b = float(np.sum(w * ens.b))
-    d = np.stack([ens.log10_a - mean_la, ens.b - mean_b])
-    cov = (d * w) @ d.T
-    return mean_la, mean_b, cov

@@ -21,6 +21,7 @@ from .model import _LN10, eol_cycles, fade_q
 
 BAND_BLOCK = 64  # columns per band block: band memory is particles x BAND_BLOCK, whatever the horizon
 BAND_LEVELS = (0.05, 0.5, 0.95)
+MAX_HORIZON_SPAN = 100_000  # cycles a projection may span; a 50-cycle twin's default prior spans about 8,200
 
 
 @dataclass(frozen=True)
@@ -81,11 +82,6 @@ class EolDistribution:
         self.cum = np.cumsum(self.weights)
         self.cum[-1] = 1.0
 
-    def cdf(self, x: float) -> float:
-        """Right-continuous CDF: total weight of EOLs <= x."""
-        idx = int(np.searchsorted(self.eols, x, side="right"))
-        return 0.0 if idx == 0 else float(self.cum[idx - 1])
-
     def quantile(self, level: float | np.ndarray) -> float | np.ndarray:
         """Lower quantile: smallest EOL with cumulative weight >= level.
 
@@ -129,7 +125,8 @@ def project(
     """Freeze every particle's parameters and summarize its end of life.
 
     The horizon is capped at the weighted 99th percentile of the per-particle
-    analytic EOLs to bound output size (CellTwinError if it is not finite).
+    analytic EOLs to bound output size (CellTwinError if that lies more than
+    MAX_HORIZON_SPAN cycles past `from_cycle`, or is not finite).
     The 5/50/95% bands (per-cycle weighted lower quantiles, the rule of
     `EolDistribution.quantile`) are built only when read.
     """
@@ -138,8 +135,9 @@ def project(
     ln_a = _LN10 * ens.log10_a
     eols = eol_cycles(ln_a, ens.b, eol_threshold)
     eol99 = EolDistribution(eols, ens.weights).quantile(0.99)
-    if not math.isfinite(eol99):
-        raise CellTwinError(f"cannot project from cycle {from_cycle}: the weighted 99th-percentile EOL is {eol99}")
+    if not eol99 - from_cycle <= MAX_HORIZON_SPAN:  # also rejects inf and NaN
+        raise CellTwinError(f"cannot project from cycle {from_cycle}: the weighted 99th-percentile EOL {eol99} "
+                            f"lies more than {MAX_HORIZON_SPAN} cycles ahead")
     horizon = int(math.ceil(eol99))
     return CapacityProjection(
         from_cycle=from_cycle,

@@ -50,7 +50,8 @@ class AttributeSpec:
 def make_exp_utility(l_u: float, h_u: float, r: float) -> ExpUtility:
     """Build the anchored exponential utility for bounds (l_u, h_u) and risk r.
 
-    DegenerateBounds when the bounds or r are not finite, when the
+    DegenerateBounds when the bounds or r are not finite, when a bound
+    divided by r overflows (as `value` divides every value by r), when the
     coefficients, as `value` evaluates them, miss an anchor by more than
     ANCHOR_TOL (both anchors round to one exp value, or an exp overflows),
     or when sigma is so large that phi's rounding error, about
@@ -62,6 +63,8 @@ def make_exp_utility(l_u: float, h_u: float, r: float) -> ExpUtility:
         raise DegenerateBounds(f"h_u {h_u} must exceed l_u {l_u}")
     if r <= 0:
         raise NonPositiveRisk(f"risk tolerance must be positive, got {r}")
+    if not math.isfinite(max(abs(l_u), abs(h_u)) / r):
+        raise DegenerateBounds(f"l_u {l_u}, h_u {h_u} and r {r}: a bound divided by r overflows")
     try:
         e_l = math.exp(-l_u / r)
         e_h = math.exp(-h_u / r)

@@ -1,10 +1,17 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from cell_twin import NormalizedTrace
 from cell_twin.model import fade_q
+
+
+def normal(mu, sigma):
+    """A normal predictive distribution whose `quantile`, scipy's `ppf`, takes an array of levels."""
+    return SimpleNamespace(quantile=norm(mu, sigma).ppf)
 
 
 def power_law_trace(log10_a=-15.77, b=5.45, n_cycles=500, noise_std=0.0, seed=None, cell_id="syn"):

@@ -9,7 +9,6 @@ import shutil
 
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 import cell_twin as ct
 from cell_twin.cli import main as cli_main
@@ -17,7 +16,7 @@ from cell_twin.evaluation import CALIBRATION_LEVELS, calibration_curve
 from cell_twin.model import _LN10, eol_cycles
 from cell_twin.prognosis import EolDistribution
 from cell_twin.synth import synth_fleet_csv
-from conftest import power_law_trace
+from conftest import normal, power_law_trace
 
 
 def report(line):
@@ -224,7 +223,7 @@ class TestCriterion8CalibrationOracle:
         n = 10000
         mus = rng.normal(700, 100, n)
         sigmas = rng.uniform(20, 80, n)
-        dists = [norm(m, s) for m, s in zip(mus, sigmas)]
+        dists = [normal(m, s) for m, s in zip(mus, sigmas)]
         obs = rng.normal(mus, sigmas)
         curve = calibration_curve(dists, obs)
         assert curve.levels.tolist() == list(CALIBRATION_LEVELS)
@@ -233,7 +232,7 @@ class TestCriterion8CalibrationOracle:
         report(f"PASS 8a: calibrated oracle max gap {np.max(np.abs(curve.observed - curve.levels)):.4f}, area {curve.area_deviation:.4f}")
 
     def test_all_at_median(self):
-        dists = [norm(0.0, 1.0)] * 100
+        dists = [normal(0.0, 1.0)] * 100
         curve = calibration_curve(dists, [0.0] * 100)
         assert np.all(curve.observed == 1.0)
         report("PASS 8b: all-at-median fixture gives observed coverage 1 at every level")

@@ -96,6 +96,16 @@ class TestIngest:
         cfg, _ = make_config(tmp_path, out_name="badpersist", trigger_persist=2.5)
         assert run("ingest", cfg) == 2
 
+    def test_unknown_keys_named_sorted(self, tmp_path, capsys):
+        cfg, _ = make_config(tmp_path, zeta=1, alpha=2)
+        assert run("ingest", cfg) == 2
+        assert capsys.readouterr().err == "config error: unknown config keys: alpha, zeta\n"
+
+    def test_workers_key_still_accepted(self, tmp_path):
+        cfg, out = make_config(tmp_path, workers=2)
+        assert run("ingest", cfg) == 0
+        assert len(list((out / "cells").glob("*.json"))) == 10
+
 
 def nan_q(cell):
     cell["q"][3] = float("nan")
@@ -268,16 +278,21 @@ class TestEndToEndDeterminism:
             trees.append(tree_bytes(out))
         assert trees[0] == trees[1]
 
-    def test_seed_env_var_override(self, tmp_path, monkeypatch):
-        cfg, out = make_config(tmp_path, out_name="env")
-        run("ingest", cfg)
-        cell = sorted(json.loads((out / "manifest.json").read_text()))[-1]
-        monkeypatch.setenv("CELL_TWIN_SEED", "99")
-        run("simulate", cfg, "--cell", cell)
-        env_tree = tree_bytes(out / "sim")
-        monkeypatch.delenv("CELL_TWIN_SEED")
-        run("simulate", cfg, "--cell", cell, "--seed", "99")
-        assert tree_bytes(out / "sim") == env_tree
+    def test_config_seed_sets_outputs(self, tmp_path):
+        trees = {}
+        for name, seed in [("seed_1", 1), ("seed_99", 99), ("seed_99_again", 99)]:
+            cfg, out = make_config(tmp_path, out_name=name, seed=seed)
+            assert run("ingest", cfg) == 0
+            assert run("simulate", cfg, "--cell", "test1_c000") == 0
+            trees[name] = tree_bytes(out / "sim")
+        assert trees["seed_1"] != trees["seed_99"]
+        assert trees["seed_99"] == trees["seed_99_again"]
+
+    def test_seed_flag_is_a_usage_error(self, tmp_path, capsys):
+        cfg, _ = make_config(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            run("simulate", cfg, "--seed", "1")
+        assert exit_.value.code == 2 and "--seed" in capsys.readouterr().err
 
 
 def edit_rows(data: Path, cell_id: str, edit):
@@ -333,67 +348,86 @@ def negative_eol_weight(out: Path):
 
 SPEC = {"name": "total_ah", "l_u": 300.0, "h_u": 1000.0, "r": 200.0, "extractor": "total_ah"}
 
-# (command, config overrides, CELL_TWIN_SEED, dataset edit, edit of earlier outputs, exit code, stderr must name)
+def unlink_fit(out: Path):
+    (out / "fleet_fit.json").unlink()
+
+
+def wide_prior(init_b: float) -> dict:
+    """Config overrides that project a 200-particle prior around `init_b` from cycle 1."""
+    return {"filter": {"n_particles": 200, "init_b": init_b, "init_spread_b": 0.05}, "schedule": {"cycles": [1]}}
+
+
+# (command, config overrides, dataset edit, edit of earlier outputs, exit code, stderr must name)
 BAD_INPUTS = {
-    "stride_0": ("simulate", {"schedule": {"stride": 0}}, None, None, None, 2, "schedule.stride"),
-    "window_0": ("ingest", {"normalize_window": 0}, None, None, None, 2, "normalize_window"),
-    "discharge_rate_0": ("retire", {"discharge_rate_c": 0}, None, None, None, 2, "discharge_rate_c"),
-    "seed_env_abc": ("simulate", {}, "abc", None, None, 2, "CELL_TWIN_SEED"),
-    "init_b_negative": ("simulate", {"filter": {"n_particles": 150, "init_b": -5}}, None, None, None, 2, "init_b"),
+    "stride_0": ("simulate", {"schedule": {"stride": 0}}, None, None, 2, "schedule.stride"),
+    "window_0": ("ingest", {"normalize_window": 0}, None, None, 2, "normalize_window"),
+    "discharge_rate_0": ("retire", {"discharge_rate_c": 0}, None, None, 2, "discharge_rate_c"),
+    "init_b_negative": ("simulate", {"filter": {"n_particles": 150, "init_b": -5}}, None, None, 2, "init_b"),
     "init_log10_a_str": (
-        "simulate", {"filter": {"n_particles": 150, "init_log10_a": "x"}}, None, None, None, 2, "init_log10_a"
+        "simulate", {"filter": {"n_particles": 150, "init_log10_a": "x"}}, None, None, 2, "init_log10_a"
     ),
-    "fit_b_negative": ("simulate", {}, None, None, set_fit("median_b", -5.0), 3, "fleet_fit.json"),
+    "fit_b_negative": ("simulate", {}, None, set_fit("median_b", -5.0), 3, "fleet_fit.json"),
     "horizon_unbounded": (
         "simulate", {"filter": {"n_particles": 150, "init_b": 0.3}, "schedule": {"cycles": [1]}},
-        None, None, lambda out: (out / "fleet_fit.json").unlink(), 4, "cycle 1",
+        None, unlink_fit, 4, "cycle 1",
     ),
-    "particles_float": ("simulate", {"filter": {"n_particles": 150.5}}, None, None, None, 2, "n_particles"),
-    "cycles_float": ("simulate", {"schedule": {"cycles": [100.5, 200]}}, None, None, None, 2, "schedule.cycles"),
-    "q_above_bound": ("ingest", {}, None, ("train_c000", scale_late_row), None, 3, "train_c000"),
-    "cell_too_short": ("ingest", {}, None, ("train_c001", lambda rows: rows[:20]), None, 3, "train_c001"),
+    "horizon_3e17": ("simulate", wide_prior(1.0), None, unlink_fit, 4, "cycle 1"),
+    "horizon_5e7": ("simulate", wide_prior(2.2), None, unlink_fit, 4, "cycle 1"),
+    "key_normalise_window": ("ingest", {"normalise_window": 0}, None, None, 2, "normalise_window"),
+    "key_split_manifest": ("ingest", {"split_manifest": "splits.csv"}, None, None, 2, "split_manifest"),
+    "key_thresholds_eoll": ("ingest", {"thresholds": {"eoll": 0.8}}, None, None, 2, "thresholds.eoll"),
+    "key_schedule_strides": ("simulate", {"schedule": {"strides": 50}}, None, None, 2, "schedule.strides"),
+    "key_extend_tails": ("ingest", {"extend": {"tails": 20}}, None, None, 2, "extend.tails"),
+    "key_utility_risk": (
+        "retire", {"utilities": [{**SPEC, "weight": 1.0, "risk": 5.0}]}, None, None, 2, "utilities[0].risk"
+    ),
+    "thresholds_list": ("ingest", {"thresholds": ["eol"]}, None, None, 2, "thresholds must be an object"),
+    "particles_float": ("simulate", {"filter": {"n_particles": 150.5}}, None, None, 2, "n_particles"),
+    "cycles_float": ("simulate", {"schedule": {"cycles": [100.5, 200]}}, None, None, 2, "schedule.cycles"),
+    "q_above_bound": ("ingest", {}, ("train_c000", scale_late_row), None, 3, "train_c000"),
+    "cell_too_short": ("ingest", {}, ("train_c001", lambda rows: rows[:20]), None, 3, "train_c001"),
     "fit_truncated": (
-        "simulate", {}, None, None, lambda out: cut_to(out / "fleet_fit.json", 40), 3, "fleet_fit.json"
+        "simulate", {}, None, lambda out: cut_to(out / "fleet_fit.json", 40), 3, "fleet_fit.json"
     ),
-    "weight_str": ("retire", {"utilities": [{**SPEC, "weight": "x"}]}, None, None, None, 2, "weight"),
-    "weight_0": ("retire", {"utilities": [{**SPEC, "weight": 0}]}, None, None, None, 2, "weight"),
-    "utility_r_tiny": ("ingest", {"utilities": [{**SPEC, "r": 0.1, "weight": 1.0}]}, None, None, None, 2, "l_u"),
-    "utility_r_huge": ("simulate", {"utilities": [{**SPEC, "r": 1e20, "weight": 1.0}]}, None, None, None, 2, "l_u"),
+    "weight_str": ("retire", {"utilities": [{**SPEC, "weight": "x"}]}, None, None, 2, "weight"),
+    "weight_0": ("retire", {"utilities": [{**SPEC, "weight": 0}]}, None, None, 2, "weight"),
+    "utility_r_tiny": ("ingest", {"utilities": [{**SPEC, "r": 0.1, "weight": 1.0}]}, None, None, 2, "l_u"),
+    "utility_r_huge": ("simulate", {"utilities": [{**SPEC, "r": 1e20, "weight": 1.0}]}, None, None, 2, "l_u"),
     "utility_l_u_nan": (
-        "retire", {"utilities": [{**SPEC, "l_u": float("nan"), "weight": 1.0}]}, None, None, None, 2, "l_u"
+        "retire", {"utilities": [{**SPEC, "l_u": float("nan"), "weight": 1.0}]}, None, None, 2, "l_u"
     ),
     "utility_name_dup": (
         "retire", {"utilities": [{**SPEC, "weight": 1.0}, {**SPEC, "extractor": "mtbc", "weight": 1.0}]},
-        None, None, None, 2, "utility names",
+        None, None, 2, "utility names",
     ),
     "utility_name_cycle": (
-        "retire", {"utilities": [{**SPEC, "name": "cycle", "weight": 1.0}]}, None, None, None, 2, "utility names"
+        "retire", {"utilities": [{**SPEC, "name": "cycle", "weight": 1.0}]}, None, None, 2, "utility names"
     ),
     "utility_name_phi_clash": (
         "retire",
         {"utilities": [{**SPEC, "name": "a", "weight": 1.0}, {**SPEC, "name": "phi_a", "weight": 1.0}]},
-        None, None, None, 2, "utility names",
+        None, None, 2, "utility names",
     ),
     "utility_name_comma": (
-        "retire", {"utilities": [{**SPEC, "name": "a,b", "weight": 1.0}]}, None, None, None, 2, "utility names"
+        "retire", {"utilities": [{**SPEC, "name": "a,b", "weight": 1.0}]}, None, None, 2, "utility names"
     ),
     "utility_name_int": (
-        "retire", {"utilities": [{**SPEC, "name": 5, "weight": 1.0}]}, None, None, None, 2, "utility names"
+        "retire", {"utilities": [{**SPEC, "name": 5, "weight": 1.0}]}, None, None, 2, "utility names"
     ),
     "utility_r_ill_conditioned": (
         "retire", {"utilities": [{**SPEC, "l_u": 0.0, "h_u": 1.0, "r": 1e15, "weight": 1.0}]},
-        None, None, None, 2, "l_u",
+        None, None, 2, "l_u",
     ),
-    "sim_dir_stale": ("evaluate", {}, None, None, lambda out: (out / "sim" / "ghost").mkdir(), 3, "ghost"),
+    "sim_dir_stale": ("evaluate", {}, None, lambda out: (out / "sim" / "ghost").mkdir(), 3, "ghost"),
     "predictions_truncated": (
-        "evaluate", {}, None, None, truncate("sim/test1_c000/predictions.json"), 3, "predictions.json"
+        "evaluate", {}, None, truncate("sim/test1_c000/predictions.json"), 3, "predictions.json"
     ),
-    "eol_truncated": ("evaluate", {}, None, None, truncate("sim/test1_c000/eol_*.csv", at_line=True), 3, "eol_"),
-    "eol_negative_weight": ("evaluate", {}, None, None, negative_eol_weight, 3, "eol_"),
+    "eol_truncated": ("evaluate", {}, None, truncate("sim/test1_c000/eol_*.csv", at_line=True), 3, "eol_"),
+    "eol_negative_weight": ("evaluate", {}, None, negative_eol_weight, 3, "eol_"),
     "predictions_cycle_float": (
-        "evaluate", {}, None, None, set_prediction("at_cycle", 369.5), 3, "predictions.json"
+        "evaluate", {}, None, set_prediction("at_cycle", 369.5), 3, "predictions.json"
     ),
-    "predictions_rul_str": ("evaluate", {}, None, None, set_prediction("rul_median", "x"), 3, "predictions.json"),
+    "predictions_rul_str": ("evaluate", {}, None, set_prediction("rul_median", "x"), 3, "predictions.json"),
 }
 
 
@@ -402,7 +436,7 @@ class TestBadInputExit:
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
     def test_exit_code_and_one_line(self, tmp_path, case):
-        command, overrides, env_seed, data_edit, out_edit, code, names = BAD_INPUTS[case]
+        command, overrides, data_edit, out_edit, code, names = BAD_INPUTS[case]
         good, out = make_config(tmp_path)
         if command != "ingest":
             assert run("ingest", good) == 0 and run("calibrate", good) == 0
@@ -415,9 +449,6 @@ class TestBadInputExit:
         cfg, _ = make_config(tmp_path, out_name="out", **overrides)
         argv = [command, "--config", str(cfg)] + (["--cell", "test1_c000"] if command == "retire" else [])
         env = {**os.environ, "PYTHONPATH": str(Path(cell_twin.__file__).parent.parent)}
-        env.pop("CELL_TWIN_SEED", None)
-        if env_seed is not None:
-            env["CELL_TWIN_SEED"] = env_seed
         proc = subprocess.run(
             [sys.executable, "-m", "cell_twin.cli", *argv], env=env, capture_output=True, text=True, timeout=120
         )

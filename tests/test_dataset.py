@@ -4,14 +4,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cell_twin import CellRecord, NormalizedTrace, Split, extend_linear, load_cells, normalize, trigger_cycle
-from cell_twin.dataset import MAX_EXTENSION, load_split_manifest
+from cell_twin.dataset import MAX_EXTENSION
 from cell_twin.errors import (
     AlreadyBelowFloor,
     DuplicateCycle,
     MalformedRow,
     NonDecreasingTail,
     NonMonotoneCycles,
-    UnknownCell,
 )
 
 HEADER = "cell_id,split,cycle,discharge_capacity_ah,nominal_capacity_ah\n"
@@ -82,17 +81,15 @@ class TestLoadCells:
         with pytest.raises(MalformedRow):
             load_cells(p)
 
-    def test_unknown_cell_with_manifest(self, tmp_path):
-        p = write_csv(tmp_path, "b1c0,train,1,1.07,1.1\n")
-        with pytest.raises(UnknownCell):
-            load_cells(p, split_manifest={"other": "train"})
+    def test_unknown_split_name(self, tmp_path):
+        p = write_csv(tmp_path, "b1c0,train,1,1.07,1.1\nb1c0,validation,2,1.06,1.1\n")
+        with pytest.raises(MalformedRow, match=r":3: unknown split 'validation'"):
+            load_cells(p)
 
-    def test_manifest_file_overrides_split_column(self, tmp_path):
-        p = write_csv(tmp_path, "b1c0,train,1,1.07,1.1\n")
-        mp = tmp_path / "manifest.csv"
-        mp.write_text("cell_id,split\nb1c0,test2\n")
-        rec = load_cells(p, load_split_manifest(mp))[0]
-        assert rec.split is Split.SECONDARY_TEST
+    def test_conflicting_splits_for_one_cell(self, tmp_path):
+        p = write_csv(tmp_path, "b1c0,train,1,1.07,1.1\nb2c0,test1,1,1.07,1.1\nb1c0,test2,2,1.06,1.1\n")
+        with pytest.raises(MalformedRow, match=r":4: cell 'b1c0' has conflicting splits"):
+            load_cells(p)
 
 
 class TestCellRecord:

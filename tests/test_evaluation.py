@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.stats import norm
 
 from cell_twin import NormalizedTrace
 from cell_twin.evaluation import CALIBRATION_LEVELS, calibration_curve, rul_errors
 from cell_twin.errors import LengthMismatch, NoTrueEol
 from cell_twin.prognosis import EolDistribution
+from conftest import normal
 
 
 def declining_trace(n=1000, cell_id="c"):
@@ -74,7 +74,7 @@ class TestRulErrors:
 
 class TestCalibrationCurve:
     def test_levels_are_the_constant(self):
-        curve = calibration_curve([norm(0, 1)], [0.0])
+        curve = calibration_curve([normal(0, 1)], [0.0])
         assert curve.levels.tolist() == list(CALIBRATION_LEVELS) == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 
     def test_perfectly_calibrated_oracle(self):
@@ -82,40 +82,40 @@ class TestCalibrationCurve:
         n = 10000
         mus = rng.normal(0, 5, n)
         sigmas = rng.uniform(0.5, 2.0, n)
-        dists = [norm(m, s) for m, s in zip(mus, sigmas)]
+        dists = [normal(m, s) for m, s in zip(mus, sigmas)]
         obs = rng.normal(mus, sigmas)
         curve = calibration_curve(dists, obs)
         assert np.all(np.abs(curve.observed - curve.levels) < 0.02)
         assert curve.area_deviation < 0.03
 
     def test_all_at_median(self):
-        dists = [norm(3.0, 1.0)] * 50
+        dists = [normal(3.0, 1.0)] * 50
         obs = [3.0] * 50
         curve = calibration_curve(dists, obs)
         assert np.all(curve.observed == 1.0)
 
     def test_all_in_far_tail(self):
-        dists = [norm(0.0, 1.0)] * 50
+        dists = [normal(0.0, 1.0)] * 50
         obs = [100.0] * 50
         curve = calibration_curve(dists, obs)
         assert np.all(curve.observed == 0.0)
 
     def test_coverage_monotone_in_level(self):
         rng = np.random.default_rng(41)
-        dists = [norm(rng.normal(), 1.0) for _ in range(200)]
+        dists = [normal(rng.normal(), 1.0) for _ in range(200)]
         obs = rng.normal(0, 2, 200)
         curve = calibration_curve(dists, obs)
         assert np.all(np.diff(curve.observed) >= 0)
 
     def test_area_deviation_zero_iff_diagonal(self):
-        dists = [norm(0, 1)] * 10
+        dists = [normal(0, 1)] * 10
         obs = [0.0] * 10
         curve = calibration_curve(dists, obs)
         assert curve.area_deviation > 0  # observed is 1 everywhere, not diagonal
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            calibration_curve([norm(0, 1)], [1.0, 2.0])
+            calibration_curve([normal(0, 1)], [1.0, 2.0])
 
     def test_accepts_empirical_eol_distributions(self):
         rng = np.random.default_rng(43)

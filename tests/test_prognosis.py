@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from cell_twin import FilterConfig, NoiseSpec, assimilate, init, project, rul
 from cell_twin.errors import CellTwinError
 from cell_twin.filtering import ParticleEnsemble
-from cell_twin.model import _LN10, fade_q
-from cell_twin.prognosis import BAND_BLOCK, EolDistribution
+from cell_twin.model import _LN10, eol_cycles, fade_q
+from cell_twin.prognosis import BAND_BLOCK, MAX_HORIZON_SPAN, EolDistribution
 from conftest import power_law_trace
 
 finite_values = st.one_of(st.integers(-5, 5).map(float), st.floats(-1e6, 1e6))
@@ -149,6 +149,14 @@ class TestProject:
         with pytest.raises(CellTwinError, match="cycle 0"):
             project(ens, 0)
 
+    def test_horizon_span_bound(self):
+        ens = make_ensemble([-15.77], [3.0])
+        eol = float(eol_cycles(_LN10 * -15.77, 3.0, 0.5))  # the one particle's EOL, about 1.3e5 cycles
+        inside, outside = math.ceil(eol) - MAX_HORIZON_SPAN, math.floor(eol) - MAX_HORIZON_SPAN
+        assert project(ens, inside).horizon_cycle == math.ceil(eol)
+        with pytest.raises(CellTwinError, match=f"cycle {outside}: .* more than {MAX_HORIZON_SPAN} cycles ahead"):
+            project(ens, outside)
+
     def test_projection_pure(self):
         ens = make_ensemble([-15.77, -15.5], [5.45, 5.2])
         a = project(ens, 10, 0.5)
@@ -212,22 +220,21 @@ class TestEolDistribution:
         dist = EolDistribution(proj.per_particle_eol, proj.eol_weights)
         eol = float(dist.eols[0])
         assert eol == pytest.approx(((1 - 0.5) / 10 ** -15.77) ** (1 / 5.45), rel=1e-9)
-        assert dist.cdf(eol - 1) == 0.0
-        assert dist.cdf(eol) == 1.0
-        assert dist.cdf(eol + 1) == 1.0
+        assert dist.quantile(np.array([0.0, 1e-9, 0.5, 1.0])).tolist() == [eol] * 4
 
     def test_counting(self):
-        dist = EolDistribution(np.array([600.0, 700.0, 800.0]), np.full(3, 1 / 3))
-        assert dist.cdf(700) == pytest.approx(2 / 3)
-        assert dist.cdf(599) == 0.0
-        assert dist.cdf(800) == 1.0
+        dist = EolDistribution(np.array([700.0, 800.0, 600.0]), np.full(3, 1 / 3))
+        levels = np.array([0.0, 0.3, 1 / 3, 0.5, 0.9, 1.0])  # 1/3 is the first step: the lower quantile stays there
+        assert dist.quantile(levels).tolist() == [600.0, 600.0, 600.0, 700.0, 800.0, 800.0]
+        assert [dist.quantile(float(lvl)) for lvl in levels] == dist.quantile(levels).tolist()
 
     def test_self_consistency_at_median(self):
         ens = init(FilterConfig(n_particles=1000, seed=17))
         proj = project(ens, 1, 0.5)
         dist = EolDistribution(proj.per_particle_eol, proj.eol_weights)
         med = dist.quantile(0.5)
-        assert dist.cdf(med) == pytest.approx(0.5, abs=1.5 / 1000)
+        assert dist.weights[dist.eols < med].sum() < 0.5
+        assert dist.weights[dist.eols <= med].sum() == pytest.approx(0.5, abs=1.5 / 1000)
 
 
 class TestRul:

@@ -51,6 +51,7 @@ class TestMakeExpUtility:
 
     @given(st.floats(), st.floats(), st.floats())
     @example(0.0, 1.0, 1e15)
+    @example(0.0, 1.0, 2.2250738585e-313)  # h_u / r overflows in `value`
     def test_anchored_or_config_error(self, l_u, h_u, r):
         try:
             u = make_exp_utility(l_u, h_u, r)

@@ -15,14 +15,14 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import calib, dataset, evaluation, filtering, prognosis, retirement, utility
 from .errors import CellTwinError, ConfigError, DataError
-from .model import NoiseSpec
+from .model import NoiseSpec, checked
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -48,15 +48,6 @@ class RunConfig:
     discharge_rate_c: float
 
 
-def _checked(name: str, value, low, high=math.inf, integer: bool = False):
-    """`value` if it is an integer >= `low` (`integer`) or a number in (`low`, `high`); else ConfigError."""
-    ok = isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
-    if not (ok and (value >= low if integer else low < value < high)):
-        what = f"an integer >= {low}" if integer else f"a number in ({low}, {high})"
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
-    return value
-
-
 def _known(block, prefix: str, keys: set[str]) -> dict:
     """`block` if it is an object whose keys are all in `keys`; else ConfigError naming the others
     (as `prefix` + key), sorted."""
@@ -79,21 +70,28 @@ def load_config(path, out_override: str | None = None) -> RunConfig:
         # `workers` is accepted and ignored: perfbench's FleetBatch still writes it
         _known(raw, "", {"dataset", "output_dir", "seed", "filter", "utilities", "thresholds", "schedule", "extend",
                          "normalize_window", "trigger_persist", "discharge_rate_c", "workers"})
-        seed = _checked("seed", raw.get("seed", 0), 0, integer=True)
-        fraw = dict(raw.get("filter", {}))
-        if "n_particles" in fraw:
-            _checked("filter.n_particles", fraw["n_particles"], 2, integer=True)
-        sigmas = {k: fraw.pop(k) for k in ("sigma_meas", "sigma_log_a", "sigma_b") if k in fraw}
-        fcfg = filtering.FilterConfig(noise=NoiseSpec(**sigmas), seed=seed, **fraw)
+        seed = checked("seed", raw.get("seed", 0), 0, integer=True)
+        sigmas = {f.name for f in fields(NoiseSpec)}  # the filter block holds FilterConfig's fields and the sigmas
+        fkeys = {f.name for f in fields(filtering.FilterConfig)} - {"noise", "seed"}
+        fraw = _known(raw.get("filter", {}), "filter.", fkeys | sigmas)
+        noise = NoiseSpec(**{k: v for k, v in fraw.items() if k in sigmas})
+        fcfg = filtering.FilterConfig(noise=noise, seed=seed, **{k: v for k, v in fraw.items() if k not in sigmas})
+        th = _known(raw.get("thresholds", {}), "thresholds.", {"trigger", "eol", "retire_floor"})
+        sched = _known(raw.get("schedule", {}), "schedule.", {"stride", "cycles"})
+        ext = _known(raw.get("extend", {}), "extend.", {"tail", "floor"})
+        for name, value in (("utilities", raw.get("utilities", [])), ("schedule.cycles", sched.get("cycles", []))):
+            if not isinstance(value, list):
+                raise ConfigError(f"{name} must be a list, got {value!r}")
         specs = []
         for i, u in enumerate(raw.get("utilities", [])):
             _known(u, f"utilities[{i}].", {"name", "extractor", "l_u", "h_u", "r", "weight"})
+            anchors = [checked(f"utilities.{k}", u[k], -math.inf) for k in ("l_u", "h_u", "r")]
             specs.append(
                 utility.AttributeSpec(
                     name=u["name"],
-                    utility=utility.make_exp_utility(u["l_u"], u["h_u"], u["r"]),
+                    utility=utility.make_exp_utility(*anchors),
                     extractor=utility.Attribute(u["extractor"]),
-                    weight=_checked("utilities.weight", u["weight"], 0),
+                    weight=checked("utilities.weight", u["weight"], 0),
                 )
             )
         names = [spec.name for spec in specs]
@@ -102,27 +100,24 @@ def load_config(path, out_override: str | None = None) -> RunConfig:
             raise ConfigError(f"utility names must be distinct strings without , \" or line breaks in header {header}")
         if not specs:
             specs = utility.default_attribute_specs()
-        th = _known(raw.get("thresholds", {}), "thresholds.", {"trigger", "eol", "retire_floor"})
-        sched = _known(raw.get("schedule", {}), "schedule.", {"stride", "cycles"})
-        ext = _known(raw.get("extend", {}), "extend.", {"tail", "floor"})
         cycles = sched.get("cycles")
         if cycles is not None:
-            cycles = [_checked("schedule.cycles", k, 1, integer=True) for k in cycles]
+            cycles = [checked("schedule.cycles", k, 1, integer=True) for k in cycles]
         cfg = RunConfig(
             dataset=Path(raw["dataset"]),
             output_dir=Path(out_override or raw.get("output_dir", "out")),
             filter=fcfg,
             utilities=specs,
-            trigger=_checked("thresholds.trigger", th.get("trigger", 0.95), 0, 1),
-            eol=_checked("thresholds.eol", th.get("eol", 0.5), 0, 1),
-            retire_floor=_checked("thresholds.retire_floor", th.get("retire_floor", 0.5), 0, 1),
-            schedule_stride=_checked("schedule.stride", sched.get("stride", 100), 1, integer=True),
+            trigger=checked("thresholds.trigger", th.get("trigger", 0.95), 0, 1),
+            eol=checked("thresholds.eol", th.get("eol", 0.5), 0, 1),
+            retire_floor=checked("thresholds.retire_floor", th.get("retire_floor", 0.5), 0, 1),
+            schedule_stride=checked("schedule.stride", sched.get("stride", 100), 1, integer=True),
             schedule_cycles=cycles,
-            normalize_window=_checked("normalize_window", raw.get("normalize_window", 100), 1, integer=True),
-            extend_tail=_checked("extend.tail", ext.get("tail", 30), 2, integer=True),  # a line needs 2 points
-            extend_floor=_checked("extend.floor", ext.get("floor", 0.5), 0, 1),
-            trigger_persist=_checked("trigger_persist", raw.get("trigger_persist", 1), 1, integer=True),
-            discharge_rate_c=_checked("discharge_rate_c", raw.get("discharge_rate_c", 4.0), 0),
+            normalize_window=checked("normalize_window", raw.get("normalize_window", 100), 1, integer=True),
+            extend_tail=checked("extend.tail", ext.get("tail", 30), 2, integer=True),  # a line needs 2 points
+            extend_floor=checked("extend.floor", ext.get("floor", 0.5), 0, 1),
+            trigger_persist=checked("trigger_persist", raw.get("trigger_persist", 1), 1, integer=True),
+            discharge_rate_c=checked("discharge_rate_c", raw.get("discharge_rate_c", 4.0), 0),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"invalid config {path}: {e}") from None
@@ -412,8 +407,8 @@ def main(argv=None) -> int:
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except (CellTwinError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (CellTwinError, OSError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import NormalizedTrace
 from .errors import DegenerateWeights, InvalidObservation, SnapshotError
-from .model import _LN10, NoiseSpec, fade_q, gaussian_log_lik
+from .model import _LN10, NoiseSpec, checked, fade_q, gaussian_log_lik
 
 SNAPSHOT_VERSION = 2
 WEIGHT_SUM_TOL = 1e-9  # how far stored weights may sum from 1 (snapshots, EOL tables)
@@ -37,14 +37,11 @@ class FilterConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_particles < 2:
-            raise ValueError("need at least 2 particles")
+        checked("filter.n_particles", self.n_particles, 2, integer=True)
+        # init redraws b <= 0; with init_b > 0 a draw is kept with probability > 1/2
         for name, low in (("init_log10_a", -math.inf), ("init_b", 0), ("init_spread_log10_a", 0), ("init_spread_b", 0)):
-            value = getattr(self, name)  # init redraws b <= 0; with init_b > 0 a draw is kept with probability > 1/2
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not low < value < math.inf:
-                raise ValueError(f"filter.{name} must be a number in ({low}, inf), got {value!r}")
-        if not 0.0 < self.resample_threshold <= 1.0:
-            raise ValueError("resample_threshold must be in (0, 1]")
+            checked(f"filter.{name}", getattr(self, name), low)
+        checked("filter.resample_threshold", self.resample_threshold, 0, 1, closed=True)
 
 
 @dataclass
@@ -102,17 +99,14 @@ class ParticleEnsemble:
             log10_a, b, weights = (np.array(row, dtype=float) for row in block)
             if not valid_weights(weights):
                 raise SnapshotError(f"weights must be >= 0 and sum to 1, got sum {float(np.sum(weights))!r}")
-            last_cycle, seed, threshold = d["last_cycle"], d["seed"], d["resample_threshold"]
-            for name, value in (("last_cycle", last_cycle), ("seed", seed)):
-                if type(value) is not int or value < 0:
-                    raise SnapshotError(f"{name} must be an integer >= 0, got {value!r}")
-            if type(threshold) not in (int, float) or not 0.0 < threshold <= 1.0:
-                raise SnapshotError(f"resample_threshold must be in (0, 1], got {threshold!r}")
-            rng = np.random.Generator(np.random.PCG64())
+            last_cycle = checked("last_cycle", d["last_cycle"], 0, integer=True)
+            seed = checked("seed", d["seed"], 0, integer=True)
+            threshold = checked("resample_threshold", d["resample_threshold"], 0, 1, closed=True)
+            rng = np.random.Generator(np.random.PCG64(0))  # a fixed seed: the snapshot's state replaces it
             rng.bit_generator.state = d["rng_state"]
         except KeyError as e:
             raise SnapshotError(f"snapshot lacks {e}") from None
-        except (TypeError, ValueError, OverflowError) as e:  # JSONDecodeError and binascii.Error too
+        except (TypeError, ValueError, OverflowError) as e:  # JSONDecodeError, binascii.Error and `checked` too
             raise SnapshotError(f"malformed snapshot: {e}") from None
         return cls(
             log10_a=log10_a,

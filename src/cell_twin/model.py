@@ -16,6 +16,16 @@ _LN10 = math.log(10.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
+def checked(name: str, value, low, high=math.inf, integer: bool = False, closed: bool = False):
+    """`value` if it is an integer >= `low` (`integer`) or a number in (`low`, `high`), or in (`low`, `high`]
+    if `closed`; never NaN, inf or a bool.  Else ValueError naming `name`.  Every config number passes here."""
+    ok = isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+    if not (ok and (value >= low if integer else low < value < high or closed and value == high)):
+        what = f"an integer >= {low}" if integer else f"a number in ({low}, {high}{']' if closed else ')'}"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Measurement and process noise scales for the online filter."""
@@ -25,8 +35,8 @@ class NoiseSpec:
     sigma_b: float = 0.05         # random-walk std on b per cycle
 
     def __post_init__(self):
-        if min(self.sigma_meas, self.sigma_log_a, self.sigma_b) <= 0:
-            raise ValueError("all noise scales must be strictly positive")
+        for name in ("sigma_meas", "sigma_log_a", "sigma_b"):
+            checked(f"filter.{name}", getattr(self, name), 0)
 
 
 def fade_q(ln_a, b, ln_k):

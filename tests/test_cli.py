@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +13,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import cell_twin
-from cell_twin.cli import decoded, main, prediction_columns, write_csv
-from cell_twin.errors import DataError
+from cell_twin import filtering
+from cell_twin.cli import RunConfig, decoded, load_config, main, prediction_columns, write_csv
+from cell_twin.errors import ConfigError, DataError
 from cell_twin.synth import synth_fleet_csv
 from conftest import rise_then_fade_trace
 
@@ -206,6 +209,22 @@ class TestSimulate:
         run("ingest", cfg)
         assert run("simulate", cfg, "--cell", "nope") == 3
 
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 7.28 TiB", "error: Unable to allocate 7.28 TiB"), ("", "error: MemoryError"),
+    ])
+    def test_out_of_memory_exit_4(self, tmp_path, capsys, monkeypatch, message, line):
+        cfg, out = make_config(tmp_path)
+        assert run("ingest", cfg) == 0 and run("calibrate", cfg) == 0
+        capsys.readouterr()
+
+        def init(fcfg):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(filtering, "init", init)
+        assert run("simulate", cfg) == 4
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not (out / "sim").exists()
+
     def test_determinism_same_seed(self, tmp_path):
         cfg, out = make_config(tmp_path)
         run("ingest", cfg)
@@ -382,6 +401,20 @@ BAD_INPUTS = {
         "retire", {"utilities": [{**SPEC, "weight": 1.0, "risk": 5.0}]}, None, None, 2, "utilities[0].risk"
     ),
     "thresholds_list": ("ingest", {"thresholds": ["eol"]}, None, None, 2, "thresholds must be an object"),
+    "filter_pairs": ("ingest", {"filter": [["n_particles", 100]]}, None, None, 2, "filter must be an object"),
+    "utilities_object": ("ingest", {"utilities": {}}, None, None, 2, "utilities must be a list"),
+    "cycles_object": ("ingest", {"schedule": {"cycles": {}}}, None, None, 2, "schedule.cycles must be a list"),
+    "sigma_meas_nan": ("ingest", {"filter": {"sigma_meas": float("nan")}}, None, None, 2, "filter.sigma_meas"),
+    "sigma_b_inf": ("ingest", {"filter": {"sigma_b": float("inf")}}, None, None, 2, "filter.sigma_b"),
+    "sigma_meas_true": ("ingest", {"filter": {"sigma_meas": True}}, None, None, 2, "filter.sigma_meas"),
+    "resample_threshold_true": (
+        "ingest", {"filter": {"resample_threshold": True}}, None, None, 2, "filter.resample_threshold"
+    ),
+    "filter_key_misspelt": (
+        "ingest", {"filter": {"n_particle": 150}}, None, None, 2, "unknown config keys: filter.n_particle"
+    ),
+    "filter_seed": ("ingest", {"filter": {"seed": 3}}, None, None, 2, "unknown config keys: filter.seed"),
+    "utility_l_u_true": ("ingest", {"utilities": [{**SPEC, "l_u": True, "weight": 1.0}]}, None, None, 2, "l_u"),
     "particles_float": ("simulate", {"filter": {"n_particles": 150.5}}, None, None, 2, "n_particles"),
     "cycles_float": ("simulate", {"schedule": {"cycles": [100.5, 200]}}, None, None, 2, "schedule.cycles"),
     "q_above_bound": ("ingest", {}, ("train_c000", scale_late_row), None, 3, "train_c000"),
@@ -458,6 +491,90 @@ class TestBadInputExit:
         assert err[0].startswith({2: "config error:", 3: "data error:", 4: "error:"}[code])
         if command == "ingest":
             assert not (out / "cells").exists()
+
+
+# every key load_config reads, each set to a valid value; `dataset` is added per test
+FULL_CONFIG = {
+    "output_dir": "out",
+    "seed": 1,
+    "filter": {
+        "n_particles": 150, "init_log10_a": -15.77, "init_b": 5.45, "init_spread_log10_a": 0.5, "init_spread_b": 0.5,
+        "resample_threshold": 0.5, "sigma_meas": 0.01, "sigma_log_a": 0.05, "sigma_b": 0.05,
+    },
+    "utilities": [{**SPEC, "weight": 1.0}],
+    "thresholds": {"trigger": 0.95, "eol": 0.5, "retire_floor": 0.5},
+    "schedule": {"stride": 150, "cycles": [100, 200]},
+    "extend": {"tail": 30, "floor": 0.5},
+    "normalize_window": 100,
+    "trigger_persist": 1,
+    "discharge_rate_c": 4.0,
+}
+# another JSON type, NaN, +-inf, 0, a negative value, 1e308 or a bool
+ODD_VALUES = ["x", None, [], {}, math.nan, math.inf, -math.inf, 0, -1.5, 1e308, True, False]
+
+
+def nodes(node, path=()):
+    """(path, value) of `node` and of every value inside it, depth first."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield from nodes(value, (*path, key))
+
+
+@st.composite
+def edited_configs(draw, dataset: str):
+    """(config, must_reject): FULL_CONFIG with one leaf retyped or removed, an unknown key added
+    to an object, or a block swapped between object and list.  An unknown key, a swapped block and
+    a NaN, infinite or bool leaf must be rejected."""
+    cfg = json.loads(json.dumps({**FULL_CONFIG, "dataset": dataset}))
+    everything = list(nodes(cfg))
+    edit = draw(st.sampled_from(["retype", "remove", "add_key", "swap"]))
+    if edit in ("retype", "remove"):
+        path = draw(st.sampled_from([p for p, v in everything if not isinstance(v, (dict, list))]))
+    else:
+        kind = dict if edit == "add_key" else (dict, list)
+        path = draw(st.sampled_from([p for p, v in everything if isinstance(v, kind) and (p or edit == "add_key")]))
+    holder = cfg
+    for key in path[:-1]:
+        holder = holder[key]
+    must_reject = edit in ("add_key", "swap")
+    if edit == "retype":
+        value = holder[path[-1]] = draw(st.sampled_from(ODD_VALUES))
+        must_reject = isinstance(value, bool) or isinstance(value, float) and not math.isfinite(value)
+    elif edit == "remove":
+        del holder[path[-1]]
+    elif edit == "add_key":
+        (holder[path[-1]] if path else cfg)["zz_unknown"] = 1
+    else:
+        block = holder[path[-1]]
+        holder[path[-1]] = [[k, v] for k, v in block.items()] if isinstance(block, dict) else dict(enumerate(block))
+    return cfg, must_reject
+
+
+@pytest.fixture(scope="module")
+def empty_dataset(tmp_path_factory):
+    path = tmp_path_factory.mktemp("config") / "fleet.csv"
+    path.touch()  # load_config checks only that the dataset exists
+    return path
+
+
+class TestLoadConfigProperty:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_run_config_or_config_error(self, empty_dataset, data):
+        """One edit to a valid config gives a RunConfig or a ConfigError and nothing else; an accepted
+        filter holds only finite numbers."""
+        cfg, must_reject = data.draw(edited_configs(str(empty_dataset)))
+        path = empty_dataset.parent / "config.json"
+        path.write_text(json.dumps(cfg))
+        try:
+            loaded = load_config(path)
+        except ConfigError:
+            return
+        assert isinstance(loaded, RunConfig) and not must_reject
+        fields = {**asdict(loaded.filter), **asdict(loaded.filter.noise)}
+        numbers = [v for k, v in fields.items() if k != "noise"]
+        assert all(type(x) in (int, float) and math.isfinite(x) for x in numbers), loaded.filter
 
 
 PREDICTION = {"at_cycle": 300, "rul_median": 250.5, "rul_quantiles": {"0.5": 250.5}, "eol_threshold": 0.5}

@@ -306,13 +306,11 @@ def cmd_retire(cfg: RunConfig, cell_id: str, current: int | None) -> int:
         discharge_rate_c=cfg.discharge_rate_c,
     )
     ret_dir = cfg.output_dir / "retire" / cell_id
-    names = [s.name for s in cfg.utilities]
-    curve = decision.utility_curve
     write_csv(ret_dir / "utility_curve.csv", {
         "cycle": decision.candidates,
-        "utility": [p.combined for p in curve],
-        **{f"phi_{n}": [p.phi[n] for p in curve] for n in names},
-        **{n: [p.raw[n] for p in curve] for n in names},
+        "utility": decision.combined,
+        **{f"phi_{n}": v for n, v in decision.phi.items()},
+        **decision.raw,
     })
     atomic_write_text(ret_dir / "decision.json", json.dumps(decision.summary_dict()))
     print(f"{cell_id}: optimal retirement cycle {decision.optimal_cycle} (utility {decision.optimal_utility:.4f})")

@@ -37,7 +37,8 @@ class FilterConfig:
     seed: int = 0
 
     def __post_init__(self):
-        checked("filter.n_particles", self.n_particles, 2, integer=True)
+        # n float64 values must fit one addressable array; below that, too many particles are a MemoryError (exit 4)
+        checked("filter.n_particles", self.n_particles, 2, np.iinfo(np.intp).max // 8 + 1, integer=True)
         # init redraws b <= 0; with init_b > 0 a draw is kept with probability > 1/2
         for name, low in (("init_log10_a", -math.inf), ("init_b", 0), ("init_spread_log10_a", 0), ("init_spread_b", 0)):
             checked(f"filter.{name}", getattr(self, name), low)
@@ -162,14 +163,12 @@ def step(ens: ParticleEnsemble, k: int, q_obs: float, noise: NoiseSpec) -> Parti
         raise InvalidObservation(f"cycle {k} not after last assimilated cycle {ens.last_cycle}")
 
     n = ens.n
-    # predict: random walk on (log10 a, b), b reflected at zero
-    ens.log10_a += ens.rng.normal(0.0, noise.sigma_log_a, size=n)
-    ens.b += ens.rng.normal(0.0, noise.sigma_b, size=n)
-    np.abs(ens.b, out=ens.b)
-
-    # update: Gaussian likelihood of q_obs, combined in log space; runaway
-    # particles overflow to -inf log-likelihood, which is the intended value
-    with np.errstate(over="ignore"):
+    # predict: random walk on (log10 a, b), b reflected at zero; update: log-likelihood of q_obs.  Runaway particles
+    # overflow to -inf log-likelihood (intended); a NaN one (sigmas near 1e308) makes `m` NaN: DegenerateWeights
+    with np.errstate(over="ignore", invalid="ignore"):
+        ens.log10_a += ens.rng.normal(0.0, noise.sigma_log_a, size=n)
+        ens.b += ens.rng.normal(0.0, noise.sigma_b, size=n)
+        np.abs(ens.b, out=ens.b)
         q_pred = fade_q(_LN10 * ens.log10_a, ens.b, math.log(k))
         log_lik = gaussian_log_lik(q_obs - q_pred, noise.sigma_meas)
     with np.errstate(divide="ignore"):  # zero weights map cleanly to -inf

@@ -8,6 +8,7 @@ arithmetic runs in log space.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +18,12 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def checked(name: str, value, low, high=math.inf, integer: bool = False, closed: bool = False):
-    """`value` if it is an integer >= `low` (`integer`) or a number in (`low`, `high`), or in (`low`, `high`]
-    if `closed`; never NaN, inf or a bool.  Else ValueError naming `name`.  Every config number passes here."""
+    """`value` if it is an integer in [`low`, `high`) (`integer`) or a float in (`low`, `high`), or in (`low`, `high`]
+    if `closed`; never NaN, inf, a bool or an int beyond float range.  Else ValueError naming `name`."""
     ok = isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
-    if not (ok and (value >= low if integer else low < value < high or closed and value == high)):
-        what = f"an integer >= {low}" if integer else f"a number in ({low}, {high}{']' if closed else ')'}"
+    if not (ok and (low <= value < high if integer else abs(value) <= sys.float_info.max
+                    and (low < value < high or closed and value == high))):
+        what = f"an integer in [{low}, {high})" if integer else f"a float in ({low}, {high}{']' if closed else ')'}"
         raise ValueError(f"{name} must be {what}, got {value!r}")
     return value
 

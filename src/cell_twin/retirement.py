@@ -9,6 +9,7 @@ candidate set is finite, so the scan is exhaustive by design.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,10 +32,21 @@ class UtilityPoint:
 class RetirementDecision:
     current_cycle: int
     candidates: np.ndarray
-    utility_curve: list[UtilityPoint]
+    combined: np.ndarray               # combined utility per candidate
+    phi: dict[str, np.ndarray]         # per spec name: utility per candidate
+    raw: dict[str, np.ndarray]         # per spec name: raw attribute value per candidate
     optimal_cycle: int
     optimal_utility: float
     truncated_at_horizon: bool = False
+
+    @cached_property
+    def utility_curve(self) -> list[UtilityPoint]:
+        """The columns as one point per candidate, built on first read, only for perfbench's `check_decision`;
+        the benchmark change that moves that check onto the columns (ROADMAP item 1) deletes this and `UtilityPoint`."""
+        names, phis, raws = list(self.phi), self.phi.values(), self.raw.values()
+        rows = zip(self.candidates.tolist(), self.combined.tolist(),
+                   zip(*(v.tolist() for v in phis)), zip(*(v.tolist() for v in raws)))
+        return [UtilityPoint(x, lam, dict(zip(names, phi)), dict(zip(names, raw))) for x, lam, phi, raw in rows]
 
     def summary_dict(self) -> dict:
         return {
@@ -119,26 +131,15 @@ def optimize_retirement(
         else mtbc(q[candidates - 1], discharge_rate_c)
         for s in specs
     ]
-    phis = [s.utility.value(v) for s, v in zip(specs, raws)]
     combined = combined_utility(specs, raws)
     best = int(np.argmax(combined))  # first maximum: the earliest cycle wins ties
-
-    names = [s.name for s in specs]
-    curve = [
-        UtilityPoint(cycle=x, combined=lam, phi=dict(zip(names, phi)), raw=dict(zip(names, raw)))
-        for x, lam, phi, raw in zip(
-            candidates.tolist(),
-            combined.tolist(),
-            zip(*(v.tolist() for v in phis)),
-            zip(*(v.tolist() for v in raws)),
-        )
-    ]
-
     return RetirementDecision(
         current_cycle=current,
         candidates=candidates,
-        utility_curve=curve,
-        optimal_cycle=curve[best].cycle,
-        optimal_utility=curve[best].combined,
+        combined=combined,
+        phi={s.name: s.utility.value(v) for s, v in zip(specs, raws)},
+        raw={s.name: v for s, v in zip(specs, raws)},
+        optimal_cycle=int(candidates[best]),
+        optimal_utility=float(combined[best]),
         truncated_at_horizon=truncated,
     )

@@ -209,7 +209,7 @@ class TestCriterion7CaseStudyDirectional:
         ens = ct.init(fcfg)
         ct.assimilate(ens, trace, current, fcfg.noise)
         decision = ct.optimize_retirement(trace, ens, ct.default_attribute_specs(), current)
-        saturated = all(p.phi["total_ah"] > 1 - 1e-9 for p in decision.utility_curve)
+        saturated = bool(np.all(decision.phi["total_ah"] > 1 - 1e-9))
         ok = (not saturated) or decision.optimal_cycle == current
         report(
             f"REPORT 7d ({'ok' if ok else 'off'}): cell {cell_id} Ah-saturated={saturated}, "

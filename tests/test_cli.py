@@ -3,7 +3,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +14,14 @@ from hypothesis.extra import numpy as hnp
 
 import cell_twin
 from cell_twin import filtering
-from cell_twin.cli import RunConfig, decoded, load_config, main, prediction_columns, write_csv
+from cell_twin.cli import (
+    RunConfig, cell_seed, decoded, load_config, load_traces, main, prediction_columns, with_fleet_fit, write_csv,
+)
 from cell_twin.errors import ConfigError, DataError
+from cell_twin.prognosis import project
 from cell_twin.synth import synth_fleet_csv
 from conftest import rise_then_fade_trace
+from test_retirement import reference_scan
 
 
 def make_config(tmp_path, out_name="out", **overrides):
@@ -248,6 +252,18 @@ class TestRetire:
         assert curve[0] == "cycle,utility,phi_total_ah,phi_mtbc,total_ah,mtbc"
         assert dec["current_cycle"] <= dec["optimal_cycle"]
         assert "optimal retirement cycle" in capsys.readouterr().out
+        # the data rows are the scalar reference scan's columns, each float written as its repr
+        loaded = with_fleet_fit(load_config(cfg))
+        trace = load_traces(loaded)[cell][1]
+        fcfg = replace(loaded.filter, seed=cell_seed(loaded.filter.seed, cell))
+        ens = filtering.assimilate(filtering.init(fcfg), trace, dec["current_cycle"], fcfg.noise)
+        proj = project(ens, dec["current_cycle"], eol_threshold=loaded.eol)
+        (cycles, combined, phi, raw), best = reference_scan(
+            trace, proj, loaded.utilities, dec["current_cycle"], loaded.retire_floor, loaded.discharge_rate_c
+        )
+        columns = [cycles, combined, *phi.values(), *raw.values()]
+        assert curve[1:] == [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
+        assert (dec["optimal_cycle"], dec["optimal_utility"]) == best
 
     def test_not_triggered_exit(self, tmp_path):
         cfg, out = make_config(tmp_path)
@@ -416,6 +432,16 @@ BAD_INPUTS = {
     "filter_seed": ("ingest", {"filter": {"seed": 3}}, None, None, 2, "unknown config keys: filter.seed"),
     "utility_l_u_true": ("ingest", {"utilities": [{**SPEC, "l_u": True, "weight": 1.0}]}, None, None, 2, "l_u"),
     "particles_float": ("simulate", {"filter": {"n_particles": 150.5}}, None, None, 2, "n_particles"),
+    "particles_2e63": ("simulate", {"filter": {"n_particles": 2**63}}, None, None, 2, "filter.n_particles"),
+    # one below: numpy cannot size an array of 2**63 - 1 float64 values either ("array is too big")
+    "particles_2e63_less_1": ("simulate", {"filter": {"n_particles": 2**63 - 1}}, None, None, 2, "filter.n_particles"),
+    "sigma_meas_int_10e400": (
+        "simulate", {"filter": {"n_particles": 150, "sigma_meas": 10**400}}, None, None, 2, "filter.sigma_meas"
+    ),
+    "sigma_b_1e308": ("simulate", {"filter": {"n_particles": 150, "sigma_b": 1e308}}, None, None, 4, "vanished"),
+    "sigma_log_a_1e308": (
+        "simulate", {"filter": {"n_particles": 150, "sigma_log_a": 1e308}}, None, None, 4, "vanished"
+    ),
     "cycles_float": ("simulate", {"schedule": {"cycles": [100.5, 200]}}, None, None, 2, "schedule.cycles"),
     "q_above_bound": ("ingest", {}, ("train_c000", scale_late_row), None, 3, "train_c000"),
     "cell_too_short": ("ingest", {}, ("train_c001", lambda rows: rows[:20]), None, 3, "train_c001"),
@@ -426,6 +452,9 @@ BAD_INPUTS = {
     "weight_0": ("retire", {"utilities": [{**SPEC, "weight": 0}]}, None, None, 2, "weight"),
     "utility_r_tiny": ("ingest", {"utilities": [{**SPEC, "r": 0.1, "weight": 1.0}]}, None, None, 2, "l_u"),
     "utility_r_huge": ("simulate", {"utilities": [{**SPEC, "r": 1e20, "weight": 1.0}]}, None, None, 2, "l_u"),
+    "utility_l_u_int_10e400": (
+        "retire", {"utilities": [{**SPEC, "l_u": 10**400, "weight": 1.0}]}, None, None, 2, "l_u"
+    ),
     "utility_l_u_nan": (
         "retire", {"utilities": [{**SPEC, "l_u": float("nan"), "weight": 1.0}]}, None, None, 2, "l_u"
     ),

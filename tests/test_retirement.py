@@ -39,15 +39,14 @@ def specs_for(l_ah, h_ah, r_ah=200.0, l_mtbc=0.21, h_mtbc=0.25, r_mtbc=0.015):
 
 
 def reference_scan(trace, proj, specs, current, floor, discharge_rate_c):
-    """Per-candidate scalar scan: (utility curve, best point), earliest tie wins."""
+    """Per-candidate scalar scan: the columns (candidates, combined, phi, raw) and the best
+    (cycle, utility), earliest tie wins."""
     candidates, _ = candidate_cycles(current, proj, floor)
     q = _hybrid_trajectory(trace, proj, current)
     cum_ah = np.cumsum(q) * trace.q0_ah
-    curve = []
+    combined, phi, raw = [], {s.name: [] for s in specs}, {s.name: [] for s in specs}
     best = None
     for x in candidates:
-        raw = {}
-        phi = {}
         lam = 0.0
         for s in specs:
             if s.extractor is Attribute.TOTAL_AH:
@@ -55,13 +54,14 @@ def reference_scan(trace, proj, specs, current, floor, discharge_rate_c):
             else:
                 v = mtbc(float(q[x - 1]), discharge_rate_c)
             u = float(s.utility.value(v))
-            raw[s.name] = v
-            phi[s.name] = u
+            raw[s.name].append(v)
+            phi[s.name].append(u)
             lam += s.weight * u
-        curve.append(UtilityPoint(cycle=int(x), combined=lam, phi=phi, raw=raw))
-        if best is None or lam > best.combined:
-            best = curve[-1]
-    return curve, best
+        combined.append(lam)
+        if best is None or lam > best[1]:
+            best = (int(x), lam)
+    phi, raw = ({n: np.array(v) for n, v in cols.items()} for cols in (phi, raw))
+    return (candidates, np.array(combined), phi, raw), best
 
 
 class TestCandidateCycles:
@@ -127,7 +127,7 @@ class TestOptimizeRetirement:
             trace, ens, specs_for(l_ah=1.0, h_ah=2.0), current=current
         )
         assert decision.optimal_cycle == current
-        assert decision.utility_curve[0].phi["ah"] == pytest.approx(1.0)
+        assert decision.phi["ah"][0] == pytest.approx(1.0)
 
     def test_mtbc_saturated_retires_latest(self):
         # MTBC utility pinned at 1 (bounds far below any q): Ah strictly increasing
@@ -162,8 +162,9 @@ class TestOptimizeRetirement:
         trace = fading_trace()
         ens = make_ensemble([-15.77], [5.45], last_cycle=300)
         decision = optimize_retirement(trace, ens, specs_for(200, 500), current=300)
-        assert all(decision.optimal_utility >= p.combined for p in decision.utility_curve)
-        assert [p.cycle for p in decision.utility_curve] == decision.candidates.tolist()
+        assert np.all(decision.optimal_utility >= decision.combined)
+        n = len(decision.candidates)
+        assert all(len(col) == n for col in (decision.combined, *decision.phi.values(), *decision.raw.values()))
 
     def test_earliest_tie_rule(self):
         # constant combined utility (both saturated): earliest candidate wins
@@ -173,7 +174,7 @@ class TestOptimizeRetirement:
         decision = optimize_retirement(
             trace, ens, specs_for(l_ah=1.0, h_ah=2.0, l_mtbc=0.0001, h_mtbc=0.001), current=current
         )
-        assert decision.utility_curve[0].combined == pytest.approx(decision.optimal_utility)
+        assert decision.combined[0] == pytest.approx(decision.optimal_utility)
         assert decision.optimal_cycle == current
 
     def test_optimum_at_or_after_knee(self):
@@ -213,7 +214,29 @@ class TestMatchesScalarReference:
         decision = optimize_retirement(
             trace, ens, specs, current=current, retire_floor=0.5, discharge_rate_c=rate, proj=proj
         )
-        curve, best = reference_scan(trace, proj, specs, current, 0.5, rate)
-        assert decision.utility_curve == curve  # cycle, combined, phi and raw, exactly
-        assert decision.optimal_cycle == best.cycle
-        assert decision.optimal_utility == best.combined
+        (candidates, combined, phi, raw), best = reference_scan(trace, proj, specs, current, 0.5, rate)
+        assert np.array_equal(decision.candidates, candidates)
+        assert np.array_equal(decision.combined, combined)
+        assert list(decision.phi) == list(decision.raw) == [s.name for s in specs]  # utility_curve.csv's order
+        for name in phi:
+            assert np.array_equal(decision.phi[name], phi[name])
+            assert np.array_equal(decision.raw[name], raw[name])
+        assert (decision.optimal_cycle, decision.optimal_utility) == best
+        assert type(decision.optimal_cycle) is int and type(decision.optimal_utility) is float  # decision.json
+
+    def test_utility_curve_view_equals_columns(self):
+        # the per-point view is read only by perfbench's RetireSweep.check_decision
+        trace = fading_trace()
+        ens = make_ensemble([-15.77, -15.5, -16.0], [5.45, 5.2, 5.7], last_cycle=300)
+        decision = optimize_retirement(trace, ens, self.GRIDS["uneven_three"], current=300)
+        curve = decision.utility_curve
+        assert curve == [
+            UtilityPoint(
+                cycle=int(x),
+                combined=float(decision.combined[i]),
+                phi={n: float(v[i]) for n, v in decision.phi.items()},
+                raw={n: float(v[i]) for n, v in decision.raw.items()},
+            )
+            for i, x in enumerate(decision.candidates)
+        ]
+        assert decision.utility_curve is curve  # built once

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .dataset import NormalizedTrace
-from .errors import InsufficientFade, NoFitsSucceeded
+from .errors import DataError, InsufficientFade
 from .model import fade_q
 
 FADE_EPS = 1e-4       # points with q >= 1 - FADE_EPS carry no usable fade signal
@@ -122,7 +122,7 @@ def fleet_calibrate(train: list[NormalizedTrace]) -> FleetFit:
             continue
         ahs.append(total_measured_ah(trace))
     if not per_cell:
-        raise NoFitsSucceeded("no training cell produced a usable fit")
+        raise DataError("no training cell produced a usable fit")
     las = [v[0] for v in per_cell.values()]
     bs = [v[1] for v in per_cell.values()]
     return FleetFit(

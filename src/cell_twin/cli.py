@@ -290,7 +290,7 @@ def cmd_retire(cfg: RunConfig, cell_id: str, current: int | None) -> int:
     if current is None:
         current = dataset.trigger_cycle(trace, cfg.trigger, cfg.trigger_persist)
         if current is None:
-            raise retirement.NotTriggered(f"{cell_id}: capacity never reached trigger {cfg.trigger}")
+            raise CellTwinError(f"{cell_id}: capacity never reached trigger {cfg.trigger}")
     cfg = with_fleet_fit(cfg)
     fcfg = replace(cfg.filter, seed=cell_seed(cfg.filter.seed, cell_id))
     ens = filtering.init(fcfg)

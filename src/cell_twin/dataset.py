@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AlreadyBelowFloor,
-    DuplicateCycle,
-    MalformedRow,
-    NonDecreasingTail,
-    NonMonotoneCycles,
-)
+from .errors import DataError
 
 MAX_EXTENSION = 10  # x the last measured cycle; synthetic fleets need at most 0.4
 
@@ -49,9 +43,9 @@ class CellRecord:
         if len(cycles) == 0 or len(cycles) != len(caps):
             raise ValueError(f"{self.cell_id}: cycles/capacity length mismatch or empty")
         if np.any(np.diff(cycles) <= 0):
-            raise NonMonotoneCycles(f"{self.cell_id}: cycles not strictly increasing")
+            raise DataError(f"{self.cell_id}: cycles not strictly increasing")
         if not np.all(np.isfinite(caps) & (caps > 0)):
-            raise MalformedRow(f"{self.cell_id}: capacity must be finite and positive")
+            raise DataError(f"{self.cell_id}: capacity must be finite and positive")
         object.__setattr__(self, "cycles", cycles)
         object.__setattr__(self, "capacity_ah", caps)
 
@@ -70,11 +64,11 @@ class NormalizedTrace:
         object.__setattr__(self, "cycles", np.asarray(self.cycles, dtype=int))
         object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
         if len(self.q) != len(self.cycles) or not np.all(np.isfinite(self.q)):
-            raise MalformedRow(f"{self.cell_id}: need one finite normalized capacity per cycle")
+            raise DataError(f"{self.cell_id}: need one finite normalized capacity per cycle")
         if self.q0_ah <= 0:
-            raise MalformedRow(f"{self.cell_id}: q0_ah must be positive")
+            raise DataError(f"{self.cell_id}: q0_ah must be positive")
         if np.max(self.q) > 1.15:
-            raise MalformedRow(f"{self.cell_id}: normalized capacity exceeds sanity bound 1.15")
+            raise DataError(f"{self.cell_id}: normalized capacity exceeds sanity bound 1.15")
 
     @property
     def measured_mask(self) -> np.ndarray:
@@ -117,26 +111,26 @@ def load_cells(path) -> list[CellRecord]:
         reader = csv.reader(f)
         header = next(reader, None)
         if header is None:
-            raise MalformedRow(f"{path}: empty file")
+            raise DataError(f"{path}: empty file")
         header = [h.strip() for h in header]
         if header != CSV_COLUMNS:
-            raise MalformedRow(f"{path}: bad header {header!r}, expected {CSV_COLUMNS}")
+            raise DataError(f"{path}: bad header {header!r}, expected {CSV_COLUMNS}")
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(CSV_COLUMNS):
-                raise MalformedRow(f"{path}:{lineno}: expected {len(CSV_COLUMNS)} columns, got {len(row)}")
+                raise DataError(f"{path}:{lineno}: expected {len(CSV_COLUMNS)} columns, got {len(row)}")
             cell_id = row[0].strip()
             try:
                 cycle = int(row[2])
                 cap = float(row[3])
                 nominal = float(row[4])
             except ValueError as e:
-                raise MalformedRow(f"{path}:{lineno}: non-numeric field ({e})") from None
+                raise DataError(f"{path}:{lineno}: non-numeric field ({e})") from None
             split_name = row[1].strip()
             if split_name not in split_names:
-                raise MalformedRow(f"{path}:{lineno}: unknown split {split_name!r}")
+                raise DataError(f"{path}:{lineno}: unknown split {split_name!r}")
             prev = split_by_cell.setdefault(cell_id, split_name)
             if prev != split_name:
-                raise MalformedRow(f"{path}:{lineno}: cell {cell_id!r} has conflicting splits")
+                raise DataError(f"{path}:{lineno}: cell {cell_id!r} has conflicting splits")
             rows_by_cell.setdefault(cell_id, []).append((cycle, cap, nominal))
 
     records = []
@@ -145,7 +139,7 @@ def load_cells(path) -> list[CellRecord]:
         cycles = [r[0] for r in rows]
         if len(set(cycles)) != len(cycles):
             dup = next(c for i, c in enumerate(cycles[1:], 1) if c == cycles[i - 1])
-            raise DuplicateCycle(f"cell {cell_id!r}: cycle {dup} appears more than once")
+            raise DataError(f"cell {cell_id!r}: cycle {dup} appears more than once")
         records.append(
             CellRecord(
                 cell_id=cell_id,
@@ -180,18 +174,18 @@ def extend_linear(trace: NormalizedTrace, tail: int = 30, floor: float = 0.5) ->
 
     Appends one synthetic point per cycle on the fitted line, stopping at
     (and including, clamped to the floor) the first cycle whose line value
-    drops to or below `floor`.  Raises NonDecreasingTail unless the line
+    drops to or below `floor`.  Raises DataError unless the line
     falls and reaches the floor within MAX_EXTENSION x the last cycle.
     """
     if len(trace.cycles) < tail:
-        raise MalformedRow(f"{trace.cell_id}: need >= {tail} points to extend")
+        raise DataError(f"{trace.cell_id}: need >= {tail} points to extend")
     if trace.q[-1] <= floor:
-        raise AlreadyBelowFloor(f"{trace.cell_id}: last q {trace.q[-1]:.4f} <= floor {floor}")
+        raise DataError(f"{trace.cell_id}: last q {trace.q[-1]:.4f} <= floor {floor}")
     ks = trace.cycles[-tail:].astype(float)
     qs = trace.q[-tail:]
     slope, intercept = np.polyfit(ks, qs, 1)
     if not slope < 0:
-        raise NonDecreasingTail(f"{trace.cell_id}: tail slope {slope:.3e} >= 0")
+        raise DataError(f"{trace.cell_id}: tail slope {slope:.3e} >= 0")
     last = int(trace.cycles[-1])
     limit = floor + 1e-12  # tolerance so an exact-floor landing terminates
     # cycles to the crossing, capped, plus two for rounding; the line is
@@ -202,7 +196,7 @@ def extend_linear(trace: NormalizedTrace, tail: int = 30, floor: float = 0.5) ->
     reached = vals <= limit
     if not reached[-1]:
         msg = f"misses floor {floor} within {MAX_EXTENSION}x the measured life"
-        raise NonDecreasingTail(f"{trace.cell_id}: tail slope {slope:.3e} {msg}")
+        raise DataError(f"{trace.cell_id}: tail slope {slope:.3e} {msg}")
     n = int(np.argmax(reached)) + 1
     return NormalizedTrace(
         cell_id=trace.cell_id,

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the toolkit.
 
-Grouped so the CLI can map classes to exit codes: ConfigError -> 2,
-DataError -> 3, anything else under CellTwinError -> 4.
+One class per CLI exit code: ConfigError -> 2, DataError -> 3, anything
+else under CellTwinError -> 4.  The message says what failed.
 """
 
 
@@ -17,77 +17,5 @@ class DataError(CellTwinError):
     pass
 
 
-# --- dataset ingestion ---
-
-class MalformedRow(DataError):
-    pass
-
-
-class DuplicateCycle(DataError):
-    pass
-
-
-class NonMonotoneCycles(DataError):
-    pass
-
-
-class NonDecreasingTail(DataError):
-    pass
-
-
-class AlreadyBelowFloor(DataError):
-    pass
-
-
-# --- model / filter ---
-
-class DegenerateWeights(CellTwinError):
-    pass
-
-
-class InvalidObservation(DataError):
-    pass
-
-
-class SnapshotError(DataError):
-    pass
-
-
-# --- utility / retirement ---
-
-class DegenerateBounds(ConfigError):
-    pass
-
-
-class NonPositiveRisk(ConfigError):
-    pass
-
-
-class IncompleteTrajectory(DataError):
-    pass
-
-
-class LengthMismatch(CellTwinError):
-    pass
-
-
-class EmptyCandidateSet(CellTwinError):
-    pass
-
-
-class NotTriggered(CellTwinError):
-    pass
-
-
-# --- calibration / evaluation ---
-
 class InsufficientFade(DataError):
-    pass
-
-
-class NoFitsSucceeded(DataError):
-    pass
-
-
-class NoTrueEol(DataError):
-    pass
+    """A training cell with no usable fade fit; `fleet_calibrate` skips it and lists it as failed."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import NormalizedTrace, trigger_cycle
-from .errors import LengthMismatch, NoTrueEol
+from .errors import CellTwinError, DataError
 
 CALIBRATION_LEVELS = tuple(np.round(np.arange(0.1, 1.0, 0.1), 10))  # nominal levels 0.1, 0.2, ..., 0.9
 
@@ -40,10 +40,10 @@ class CalibrationCurve:
 def rul_errors(trace: NormalizedTrace, at_cycles, rul_medians, eol_threshold: float = 0.5) -> RulErrorSeries:
     """Signed errors of the median RULs predicted at `at_cycles` against the trace's first threshold crossing."""
     if len(at_cycles) != len(rul_medians):
-        raise LengthMismatch(f"{len(at_cycles)} prediction cycles vs {len(rul_medians)} RUL medians")
+        raise CellTwinError(f"{len(at_cycles)} prediction cycles vs {len(rul_medians)} RUL medians")
     true_eol = trigger_cycle(trace, eol_threshold)
     if true_eol is None:
-        raise NoTrueEol(f"{trace.cell_id}: trace never crosses {eol_threshold}")
+        raise DataError(f"{trace.cell_id}: trace never crosses {eol_threshold}")
     cycles, rul_medians = np.asarray(at_cycles), np.asarray(rul_medians, dtype=float)
     true_rul = np.maximum(true_eol - cycles, 0).astype(float)
     return RulErrorSeries(trace.cell_id, cycles, true_rul, rul_medians, rul_medians - true_rul, true_eol)
@@ -56,7 +56,7 @@ def calibration_curve(predictive_dists: list, observations: list[float]) -> Cali
     like `EolDistribution.quantile`, accepts a 1-D array of levels.
     """
     if len(predictive_dists) != len(observations):
-        raise LengthMismatch(
+        raise CellTwinError(
             f"{len(predictive_dists)} distributions vs {len(observations)} observations"
         )
     levels = np.array(CALIBRATION_LEVELS)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import NormalizedTrace
-from .errors import DegenerateWeights, InvalidObservation, SnapshotError
+from .errors import CellTwinError, DataError
 from .model import _LN10, NoiseSpec, checked, fade_q, gaussian_log_lik
 
 SNAPSHOT_VERSION = 2
@@ -85,30 +85,30 @@ class ParticleEnsemble:
 
     @classmethod
     def from_json(cls, s: str) -> "ParticleEnsemble":
-        """Restore a `to_json` snapshot, validated first; SnapshotError says what is wrong."""
+        """Restore a `to_json` snapshot, validated first; a DataError says what is wrong."""
         try:
             d = json.loads(s)
             if d["version"] != SNAPSHOT_VERSION:
-                raise SnapshotError(f"snapshot version {d['version']!r}, expected {SNAPSHOT_VERSION}")
+                raise DataError(f"snapshot version {d['version']!r}, expected {SNAPSHOT_VERSION}")
             raw = base64.b64decode(d["particles"], validate=True)
             if len(raw) % 24 or len(raw) < 48:
-                raise SnapshotError(f"particle block of {len(raw)} bytes is not 3 x n >= 2 float64 rows")
+                raise DataError(f"particle block of {len(raw)} bytes is not 3 x n >= 2 float64 rows")
             block = np.frombuffer(raw, "<f8").reshape(3, -1)
             if not np.all(np.isfinite(block)):
-                raise SnapshotError("particle block holds a non-finite value")
+                raise DataError("particle block holds a non-finite value")
             # owned, writable copies: the buffer view is read-only and `step` updates in place
             log10_a, b, weights = (np.array(row, dtype=float) for row in block)
             if not valid_weights(weights):
-                raise SnapshotError(f"weights must be >= 0 and sum to 1, got sum {float(np.sum(weights))!r}")
+                raise DataError(f"weights must be >= 0 and sum to 1, got sum {float(np.sum(weights))!r}")
             last_cycle = checked("last_cycle", d["last_cycle"], 0, integer=True)
             seed = checked("seed", d["seed"], 0, integer=True)
             threshold = checked("resample_threshold", d["resample_threshold"], 0, 1, closed=True)
             rng = np.random.Generator(np.random.PCG64(0))  # a fixed seed: the snapshot's state replaces it
             rng.bit_generator.state = d["rng_state"]
         except KeyError as e:
-            raise SnapshotError(f"snapshot lacks {e}") from None
+            raise DataError(f"snapshot lacks {e}") from None
         except (TypeError, ValueError, OverflowError) as e:  # JSONDecodeError, binascii.Error and `checked` too
-            raise SnapshotError(f"malformed snapshot: {e}") from None
+            raise DataError(f"malformed snapshot: {e}") from None
         return cls(
             log10_a=log10_a,
             b=b,
@@ -158,13 +158,13 @@ def systematic_resample(weights: np.ndarray, u: float) -> np.ndarray:
 def step(ens: ParticleEnsemble, k: int, q_obs: float, noise: NoiseSpec) -> ParticleEnsemble:
     """One predict / update / resample cycle against measurement (k, q_obs)."""
     if not np.isfinite(q_obs):
-        raise InvalidObservation(f"q_obs must be finite, got {q_obs!r}")
+        raise DataError(f"q_obs must be finite, got {q_obs!r}")
     if k <= ens.last_cycle:
-        raise InvalidObservation(f"cycle {k} not after last assimilated cycle {ens.last_cycle}")
+        raise DataError(f"cycle {k} not after last assimilated cycle {ens.last_cycle}")
 
     n = ens.n
     # predict: random walk on (log10 a, b), b reflected at zero; update: log-likelihood of q_obs.  Runaway particles
-    # overflow to -inf log-likelihood (intended); a NaN one (sigmas near 1e308) makes `m` NaN: DegenerateWeights
+    # overflow to -inf log-likelihood (intended); a NaN one (sigmas near 1e308) makes `m` NaN: a CellTwinError
     with np.errstate(over="ignore", invalid="ignore"):
         ens.log10_a += ens.rng.normal(0.0, noise.sigma_log_a, size=n)
         ens.b += ens.rng.normal(0.0, noise.sigma_b, size=n)
@@ -175,7 +175,7 @@ def step(ens: ParticleEnsemble, k: int, q_obs: float, noise: NoiseSpec) -> Parti
         log_w = np.log(ens.weights) + log_lik
     m = np.max(log_w)
     if not np.isfinite(m):
-        raise DegenerateWeights(f"all particle likelihoods vanished at cycle {k}")
+        raise CellTwinError(f"all particle likelihoods vanished at cycle {k}")
     w = np.exp(log_w - m)
     ens.weights = w / np.sum(w)
 
@@ -201,6 +201,6 @@ def assimilate(
     for k, q in zip(trace.cycles[mask], trace.q[mask]):
         try:
             step(ens, int(k), float(q), noise)
-        except DegenerateWeights as e:
-            raise DegenerateWeights(f"{trace.cell_id}: {e}") from None
+        except CellTwinError as e:
+            raise type(e)(f"{trace.cell_id}: {e}") from None
     return ens

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import NormalizedTrace
-from .errors import EmptyCandidateSet, IncompleteTrajectory, LengthMismatch, NotTriggered
+from .errors import CellTwinError, DataError
 from .filtering import ParticleEnsemble
 from .prognosis import CapacityProjection, project
 from .utility import Attribute, AttributeSpec, combined_utility, mtbc
@@ -78,7 +78,7 @@ def candidate_cycles(
         end = proj.horizon_cycle
         truncated = True
     if end < current:
-        raise EmptyCandidateSet(f"projected median already at floor {floor} before cycle {current}")
+        raise CellTwinError(f"projected median already at floor {floor} before cycle {current}")
     return np.arange(current, end + 1), truncated
 
 
@@ -88,9 +88,7 @@ def _hybrid_trajectory(trace: NormalizedTrace, proj: CapacityProjection, current
     mask = cyc <= current
     measured_cycles = cyc[mask]
     if len(measured_cycles) == 0 or measured_cycles[0] != 1 or not np.all(np.diff(measured_cycles) == 1):
-        raise IncompleteTrajectory(f"{trace.cell_id}: measured cycles must cover 1..{current} contiguously")
-    if measured_cycles[-1] != current:
-        raise IncompleteTrajectory(f"{trace.cell_id}: no measurement at current cycle {current}")
+        raise DataError(f"{trace.cell_id}: measured cycles must cover 1..{current} contiguously")
     q = np.empty(proj.horizon_cycle)
     q[:current] = trace.q[mask]
     # projection covers current..horizon; skip its value at `current` (measured wins)
@@ -111,13 +109,13 @@ def optimize_retirement(
 ) -> RetirementDecision:
     """Exhaustively evaluate the combined utility over candidate retirement cycles."""
     if not specs:
-        raise LengthMismatch("no attribute specs to combine")
+        raise CellTwinError("no attribute specs to combine")
     idx = np.flatnonzero(trace.cycles == current)
     if len(idx) == 0:
-        raise IncompleteTrajectory(f"{trace.cell_id}: no measurement at cycle {current}")
+        raise DataError(f"{trace.cell_id}: no measurement at cycle {current}")
     q_now = float(trace.q[idx[0]])
     if q_now > trigger_threshold:
-        raise NotTriggered(
+        raise CellTwinError(
             f"{trace.cell_id}: q at cycle {current} is {q_now:.4f} > trigger {trigger_threshold}"
         )
     if proj is None:
@@ -131,13 +129,14 @@ def optimize_retirement(
         else mtbc(q[candidates - 1], discharge_rate_c)
         for s in specs
     ]
-    combined = combined_utility(specs, raws)
+    phis = [s.utility.value(v) for s, v in zip(specs, raws)]
+    combined = combined_utility(specs, phis)
     best = int(np.argmax(combined))  # first maximum: the earliest cycle wins ties
     return RetirementDecision(
         current_cycle=current,
         candidates=candidates,
         combined=combined,
-        phi={s.name: s.utility.value(v) for s, v in zip(specs, raws)},
+        phi={s.name: phi for s, phi in zip(specs, phis)},
         raw={s.name: v for s, v in zip(specs, raws)},
         optimal_cycle=int(candidates[best]),
         optimal_utility=float(combined[best]),

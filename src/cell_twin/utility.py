@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBounds, LengthMismatch, NonPositiveRisk
+from .errors import CellTwinError, ConfigError
 
 ANCHOR_TOL = 1e-9  # how far the anchored coefficients may miss phi(l_u) = 0 and phi(h_u) = 1
 
@@ -50,7 +50,7 @@ class AttributeSpec:
 def make_exp_utility(l_u: float, h_u: float, r: float) -> ExpUtility:
     """Build the anchored exponential utility for bounds (l_u, h_u) and risk r.
 
-    DegenerateBounds when the bounds or r are not finite, when a bound
+    ConfigError when the bounds or r are not finite, when a bound
     divided by r overflows (as `value` divides every value by r), when the
     coefficients, as `value` evaluates them, miss an anchor by more than
     ANCHOR_TOL (both anchors round to one exp value, or an exp overflows),
@@ -58,13 +58,13 @@ def make_exp_utility(l_u: float, h_u: float, r: float) -> ExpUtility:
     |sigma| * eps, exceeds ANCHOR_TOL (r far above h_u - l_u).
     """
     if not all(map(math.isfinite, (l_u, h_u, r))):
-        raise DegenerateBounds(f"l_u {l_u}, h_u {h_u} and r {r} must be finite")
+        raise ConfigError(f"l_u {l_u}, h_u {h_u} and r {r} must be finite")
     if h_u <= l_u:
-        raise DegenerateBounds(f"h_u {h_u} must exceed l_u {l_u}")
+        raise ConfigError(f"h_u {h_u} must exceed l_u {l_u}")
     if r <= 0:
-        raise NonPositiveRisk(f"risk tolerance must be positive, got {r}")
+        raise ConfigError(f"risk tolerance must be positive, got {r}")
     if not math.isfinite(max(abs(l_u), abs(h_u)) / r):
-        raise DegenerateBounds(f"l_u {l_u}, h_u {h_u} and r {r}: a bound divided by r overflows")
+        raise ConfigError(f"l_u {l_u}, h_u {h_u} and r {r}: a bound divided by r overflows")
     try:
         e_l = math.exp(-l_u / r)
         e_h = math.exp(-h_u / r)
@@ -74,7 +74,7 @@ def make_exp_utility(l_u: float, h_u: float, r: float) -> ExpUtility:
     with np.errstate(over="ignore", invalid="ignore"):  # NaN or inf coefficients fail the comparisons
         if (u is None or abs(u.sigma_coef) * np.finfo(float).eps > ANCHOR_TOL
                 or not (abs(u._phi(l_u)) <= ANCHOR_TOL and abs(u._phi(h_u) - 1.0) <= ANCHOR_TOL)):
-            raise DegenerateBounds(f"l_u {l_u}, h_u {h_u} and r {r} give no utility with phi(l_u) = 0, phi(h_u) = 1")
+            raise ConfigError(f"l_u {l_u}, h_u {h_u} and r {r} give no utility with phi(l_u) = 0, phi(h_u) = 1")
     return u
 
 
@@ -88,15 +88,15 @@ def mtbc(q_at_xc: float, discharge_rate_c: float = 4.0) -> float:
     return q_at_xc / discharge_rate_c
 
 
-def combined_utility(specs: list[AttributeSpec], values: list) -> float | np.ndarray:
+def combined_utility(specs: list[AttributeSpec], phis: list) -> float | np.ndarray:
     """Weighted sum of per-attribute utilities (equal weights = plain average).
 
-    `values` holds one attribute value, or one array of candidate values,
-    per spec; arrays give the combined utility per candidate.
+    `phis` holds one utility `s.utility.value(v)`, or one array of candidate
+    utilities, per spec; arrays give the combined utility per candidate.
     """
-    if len(specs) != len(values):
-        raise LengthMismatch(f"{len(specs)} specs vs {len(values)} values")
-    total = sum(s.weight * s.utility.value(v) for s, v in zip(specs, values))
+    if len(specs) != len(phis):
+        raise CellTwinError(f"{len(specs)} specs vs {len(phis)} values")
+    total = sum(s.weight * phi for s, phi in zip(specs, phis))
     return total if np.ndim(total) else float(total)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from cell_twin import NormalizedTrace
 from cell_twin.calib import FleetFit, fit_power_law, fleet_calibrate, lower_percentile, total_measured_ah
-from cell_twin.errors import InsufficientFade, NoFitsSucceeded
+from cell_twin.errors import DataError, InsufficientFade
 from cell_twin.model import _LN10, eol_cycles
 from conftest import power_law_trace, rise_then_fade_trace
 
@@ -106,7 +106,7 @@ class TestFleetCalibrate:
         assert fit.median_b == pytest.approx(5.0, abs=1e-9)
 
     def test_all_fail(self):
-        with pytest.raises(NoFitsSucceeded):
+        with pytest.raises(DataError, match="no training cell produced a usable fit"):
             fleet_calibrate([NormalizedTrace("flat", np.arange(1, 51), np.ones(50), 1.1)])
 
     def test_ah_percentiles_from_measured_life(self):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -520,6 +522,64 @@ class TestBadInputExit:
         assert err[0].startswith({2: "config error:", 3: "data error:", 4: "error:"}[code])
         if command == "ingest":
             assert not (out / "cells").exists()
+
+
+
+@pytest.fixture(scope="module")
+def small_fleet_rows(tmp_path_factory):
+    """Header and rows of a four-cell synthetic fleet CSV."""
+    path = tmp_path_factory.mktemp("fleet") / "fleet.csv"
+    synth_fleet_csv(path, n_train=2, n_test1=1, n_test2=1, seed=7)
+    header, *rows = path.read_text().splitlines()
+    return header, rows
+
+
+CSV_TAIL = 30  # the `extend.tail` the property test ingests with
+
+
+@st.composite
+def mutated_rows(draw, rows):
+    """`rows` with one mutation: a row dropped or duplicated; one field set empty, NaN, infinite,
+    negative or to text; a split renamed; a capacity times 1.3; or a cell cut below CSV_TAIL rows."""
+    i = draw(st.integers(0, len(rows) - 1))
+    row = rows[i].split(",")
+    kind = draw(st.sampled_from(["drop", "duplicate", "field", "split", "scale", "cut"]))
+    if kind == "drop":
+        return rows[:i] + rows[i + 1:]
+    if kind == "duplicate":
+        return rows[:i + 1] + rows[i:]
+    if kind == "cut":
+        keep = draw(st.integers(1, CSV_TAIL - 1))
+        cell = [r for r in rows if r.startswith(row[0] + ",")]
+        return [r for r in rows if not r.startswith(row[0] + ",")] + cell[:keep]
+    if kind == "field":
+        row[draw(st.integers(0, 4))] = draw(st.sampled_from(["", "nan", "inf", "-1", "x"]))
+    elif kind == "split":
+        row[1] = draw(st.sampled_from([s for s in ("train", "test1", "test2", "validation") if s != row[1]]))
+    else:
+        row[3] = repr(float(row[3]) * 1.3)
+    return rows[:i] + [",".join(row)] + rows[i + 1:]
+
+
+class TestIngestCsvProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_outputs_or_one_error_line(self, small_fleet_rows, tmp_path_factory, data):
+        """One mutation of a valid fleet CSV ends `ingest` in exit 0, 2 or 3; a non-zero exit prints one
+        prefixed stderr line and writes no `cells/`."""
+        header, rows = small_fleet_rows
+        root = tmp_path_factory.mktemp("ingest")
+        (root / "fleet.csv").write_text("\n".join([header, *data.draw(mutated_rows(rows))]) + "\n")
+        cfg = {"dataset": str(root / "fleet.csv"), "output_dir": str(root / "out"), "extend": {"tail": CSV_TAIL}}
+        (root / "config.json").write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["ingest", "--config", str(root / "config.json")])
+        assert code in (0, 2, 3), err.getvalue()
+        if code:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith({2: "config error:", 3: "data error:"}[code])
+            assert not (root / "out" / "cells").exists()
 
 
 # every key load_config reads, each set to a valid value; `dataset` is added per test

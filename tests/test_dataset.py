@@ -5,13 +5,7 @@ from hypothesis import strategies as st
 
 from cell_twin import CellRecord, NormalizedTrace, Split, extend_linear, load_cells, normalize, trigger_cycle
 from cell_twin.dataset import MAX_EXTENSION
-from cell_twin.errors import (
-    AlreadyBelowFloor,
-    DuplicateCycle,
-    MalformedRow,
-    NonDecreasingTail,
-    NonMonotoneCycles,
-)
+from cell_twin.errors import DataError
 
 HEADER = "cell_id,split,cycle,discharge_capacity_ah,nominal_capacity_ah\n"
 
@@ -70,31 +64,31 @@ class TestLoadCells:
 
     def test_duplicate_cycle(self, tmp_path):
         p = write_csv(tmp_path, "b1c0,train,1,1.07,1.1\nb1c0,train,2,1.06,1.1\nb1c0,train,2,1.05,1.1\n")
-        with pytest.raises(DuplicateCycle):
+        with pytest.raises(DataError, match=r"cycle 2 appears more than once"):
             load_cells(p)
 
     def test_malformed_row(self, tmp_path):
         p = write_csv(tmp_path, "b1c0,train,1,1.07\n")
-        with pytest.raises(MalformedRow):
+        with pytest.raises(DataError, match=r":2: expected 5 columns, got 4"):
             load_cells(p)
         p = write_csv(tmp_path, "b1c0,train,one,1.07,1.1\n")
-        with pytest.raises(MalformedRow):
+        with pytest.raises(DataError, match=r":2: non-numeric field"):
             load_cells(p)
 
     def test_unknown_split_name(self, tmp_path):
         p = write_csv(tmp_path, "b1c0,train,1,1.07,1.1\nb1c0,validation,2,1.06,1.1\n")
-        with pytest.raises(MalformedRow, match=r":3: unknown split 'validation'"):
+        with pytest.raises(DataError, match=r":3: unknown split 'validation'"):
             load_cells(p)
 
     def test_conflicting_splits_for_one_cell(self, tmp_path):
         p = write_csv(tmp_path, "b1c0,train,1,1.07,1.1\nb2c0,test1,1,1.07,1.1\nb1c0,test2,2,1.06,1.1\n")
-        with pytest.raises(MalformedRow, match=r":4: cell 'b1c0' has conflicting splits"):
+        with pytest.raises(DataError, match=r":4: cell 'b1c0' has conflicting splits"):
             load_cells(p)
 
 
 class TestCellRecord:
     def test_nonmonotone_cycles_rejected(self):
-        with pytest.raises(NonMonotoneCycles):
+        with pytest.raises(DataError, match="cycles not strictly increasing"):
             CellRecord("c", Split.TRAIN, np.array([1, 3, 2]), np.array([1.0, 1.0, 1.0]), 1.1)
 
     def test_empty_rejected(self):
@@ -159,14 +153,14 @@ class TestExtendLinear:
 
     def test_nondecreasing_tail(self):
         tr = NormalizedTrace("c", np.arange(1, 41), np.full(40, 0.9), 1.1)
-        with pytest.raises(NonDecreasingTail):
+        with pytest.raises(DataError, match="tail slope .* >= 0"):
             extend_linear(tr)
 
     def test_flat_tail_beyond_bound(self):
         # the line would cross 0.5 at ~400,000 cycles, far past 10x the 40 measured
         ks = np.arange(1, 41)
         tr = NormalizedTrace("c", ks, 0.9 - 1e-6 * ks, 1.1)
-        with pytest.raises(NonDecreasingTail, match="measured life"):
+        with pytest.raises(DataError, match="tail slope .* measured life"):
             extend_linear(tr)
 
     @given(
@@ -189,7 +183,8 @@ class TestExtendLinear:
         expect = loop_extension(tr, tail, floor, MAX_EXTENSION * int(ks[-1]) + 3)
         try:
             ext = extend_linear(tr, tail=tail, floor=floor)
-        except NonDecreasingTail:
+        except DataError as e:
+            assert "tail slope" in str(e)
             assert expect is None or len(expect[0]) > MAX_EXTENSION * ks[-1]
             return
         cycles, q = expect
@@ -199,7 +194,7 @@ class TestExtendLinear:
 
     def test_already_below_floor(self):
         tr = self.linear_trace()
-        with pytest.raises(AlreadyBelowFloor):
+        with pytest.raises(DataError, match=r"last q .* <= floor 0.95"):
             extend_linear(tr, floor=0.95)
 
     def test_steep_slope_single_point(self):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cell_twin import NormalizedTrace
 from cell_twin.evaluation import CALIBRATION_LEVELS, calibration_curve, rul_errors
-from cell_twin.errors import LengthMismatch, NoTrueEol
+from cell_twin.errors import CellTwinError, DataError
 from cell_twin.prognosis import EolDistribution
 from conftest import normal
 
@@ -51,11 +51,11 @@ class TestRulErrors:
 
     def test_no_true_eol(self):
         trace = NormalizedTrace("c", np.arange(1, 11), np.linspace(1.0, 0.9, 10), 1.1)
-        with pytest.raises(NoTrueEol):
+        with pytest.raises(DataError, match="c: trace never crosses 0.5"):
             rul_errors(trace, np.array([5]), np.array([100.0]), 0.5)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(CellTwinError, match="2 prediction cycles vs 1 RUL medians"):
             rul_errors(declining_trace(), np.array([100, 300]), np.array([500.0]), 0.5)
 
     def test_translation_consistency(self):
@@ -114,7 +114,7 @@ class TestCalibrationCurve:
         assert curve.area_deviation > 0  # observed is 1 everywhere, not diagonal
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(CellTwinError, match="1 distributions vs 2 observations"):
             calibration_curve([normal(0, 1)], [1.0, 2.0])
 
     def test_accepts_empirical_eol_distributions(self):

@@ -9,7 +9,7 @@ from cell_twin import (
     optimize_retirement,
     project,
 )
-from cell_twin.errors import EmptyCandidateSet, IncompleteTrajectory, LengthMismatch, NotTriggered
+from cell_twin.errors import CellTwinError, DataError
 from cell_twin.retirement import UtilityPoint, _hybrid_trajectory
 from cell_twin.utility import Attribute, mtbc
 from test_prognosis import make_ensemble
@@ -93,7 +93,7 @@ class TestCandidateCycles:
     def test_empty_candidate_set(self):
         ens = make_ensemble([-15.77], [5.45], last_cycle=100)
         proj = project(ens, 100, 0.5)
-        with pytest.raises(EmptyCandidateSet):
+        with pytest.raises(CellTwinError, match="projected median already at floor 0.99 before cycle"):
             candidate_cycles(proj.horizon_cycle + 10, proj, 0.99)
 
 
@@ -101,13 +101,13 @@ class TestOptimizeRetirement:
     def test_not_triggered(self):
         trace = fading_trace()
         ens = make_ensemble([-15.77], [5.45], last_cycle=10)
-        with pytest.raises(NotTriggered):
+        with pytest.raises(CellTwinError, match=r"c: q at cycle 10 is .* > trigger 0.95"):
             optimize_retirement(trace, ens, specs_for(300, 1000), current=10)
 
     def test_no_specs_rejected(self):
         trace = fading_trace()
         ens = make_ensemble([-15.77], [5.45], last_cycle=300)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(CellTwinError, match="no attribute specs to combine"):
             optimize_retirement(trace, ens, [], current=300)
 
     def test_gap_in_measured_prefix_rejected(self):
@@ -115,7 +115,7 @@ class TestOptimizeRetirement:
         trace = fading_trace()
         gappy = NormalizedTrace("c", np.delete(trace.cycles, 10), np.delete(trace.q, 10), trace.q0_ah)
         ens = make_ensemble([-15.77], [5.45], last_cycle=300)
-        with pytest.raises(IncompleteTrajectory):
+        with pytest.raises(DataError, match=r"c: measured cycles must cover 1..300 contiguously"):
             optimize_retirement(gappy, ens, specs_for(200, 500), current=300)
 
     def test_ah_saturated_retires_earliest(self):

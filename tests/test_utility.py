@@ -10,7 +10,7 @@ from cell_twin import (
     make_exp_utility,
     mtbc,
 )
-from cell_twin.errors import ConfigError, DegenerateBounds, LengthMismatch, NonPositiveRisk
+from cell_twin.errors import CellTwinError, ConfigError
 from cell_twin.utility import ANCHOR_TOL, Attribute
 
 
@@ -40,13 +40,14 @@ class TestMakeExpUtility:
             assert u.tau_coef == pytest.approx(1.0 / (e_l - e_h), rel=1e-9)
 
     def test_degenerate_bounds(self):
-        with pytest.raises(DegenerateBounds):
+        with pytest.raises(ConfigError, match="h_u 10 must exceed l_u 10"):
             make_exp_utility(10, 10, 1)
-        with pytest.raises(DegenerateBounds):  # sigma ~ r / (h_u - l_u) = 1e15: phi would move in steps of 0.125
+        # sigma ~ r / (h_u - l_u) = 1e15: phi would move in steps of 0.125
+        with pytest.raises(ConfigError, match="give no utility"):
             make_exp_utility(0.0, 1.0, 1e15)
 
     def test_nonpositive_risk(self):
-        with pytest.raises(NonPositiveRisk):
+        with pytest.raises(ConfigError, match="risk tolerance must be positive, got 0"):
             make_exp_utility(0, 1, 0)
 
     @given(st.floats(), st.floats(), st.floats())
@@ -101,13 +102,18 @@ class TestCombinedUtility:
             AttributeSpec(s.name, s.utility, s.extractor, w) for s, w in zip(base, weights)
         ]
 
+    @staticmethod
+    def combined(specs, values):
+        """The combined utility of one attribute value per spec."""
+        return combined_utility(specs, [s.utility.value(v) for s, v in zip(specs, values)])
+
     def test_unit_case(self):
         specs = self.specs()
-        assert combined_utility(specs, [1000.0, 0.25]) == pytest.approx(1.0)
+        assert self.combined(specs, [1000.0, 0.25]) == pytest.approx(1.0)
 
     def test_half_half_arithmetic(self):
         specs = self.specs()
-        lam = combined_utility(specs, [650.0, 0.23])
+        lam = self.combined(specs, [650.0, 0.23])
         phi1 = specs[0].utility.value(650.0)
         phi2 = specs[1].utility.value(0.23)
         assert lam == pytest.approx(0.5 * phi1 + 0.5 * phi2)
@@ -118,14 +124,14 @@ class TestCombinedUtility:
         specs = [
             AttributeSpec(f"a{i}", u, Attribute.TOTAL_AH, 1 / 3) for i in range(3)
         ]
-        assert combined_utility(specs, [0.0, 0.0, 1.0]) == pytest.approx(1 / 3)
+        assert self.combined(specs, [0.0, 0.0, 1.0]) == pytest.approx(1 / 3)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            combined_utility(self.specs(), [650.0])
+        with pytest.raises(CellTwinError, match="2 specs vs 1 values"):
+            combined_utility(self.specs(), [0.85])
 
     def test_monotone_in_each_attribute(self):
         specs = self.specs()
-        base = combined_utility(specs, [650.0, 0.23])
-        assert combined_utility(specs, [700.0, 0.23]) >= base
-        assert combined_utility(specs, [650.0, 0.24]) >= base
+        base = self.combined(specs, [650.0, 0.23])
+        assert self.combined(specs, [700.0, 0.23]) >= base
+        assert self.combined(specs, [650.0, 0.24]) >= base

@@ -258,7 +258,7 @@ def _simulate_cell(cfg: RunConfig, cell_id: str, trace: dataset.NormalizedTrace)
                 "at_cycle": pred.at_cycle,
                 "rul_median": pred.rul_median,
                 "rul_quantiles": {repr(lvl): v for lvl, v in sorted(pred.rul_quantiles.items())},
-                "eol_threshold": pred.eol_threshold,
+                "eol_threshold": cfg.eol,
             }
         )
     atomic_write_text(sim_dir / "predictions.json", json.dumps(preds))

@@ -35,7 +35,6 @@ class CellRecord:
     split: Split
     cycles: np.ndarray          # int, strictly increasing, starts at >= 1
     capacity_ah: np.ndarray     # float, finite and strictly positive, same length
-    nominal_capacity_ah: float
 
     def __post_init__(self):
         cycles = np.asarray(self.cycles, dtype=int)
@@ -44,6 +43,8 @@ class CellRecord:
             raise ValueError(f"{self.cell_id}: cycles/capacity length mismatch or empty")
         if np.any(np.diff(cycles) <= 0):
             raise DataError(f"{self.cell_id}: cycles not strictly increasing")
+        if cycles[0] < 1:
+            raise DataError(f"{self.cell_id}: cycle {cycles[0]} < 1; cycles start at 1")
         if not np.all(np.isfinite(caps) & (caps > 0)):
             raise DataError(f"{self.cell_id}: capacity must be finite and positive")
         object.__setattr__(self, "cycles", cycles)
@@ -100,12 +101,12 @@ class NormalizedTrace:
 def load_cells(path) -> list[CellRecord]:
     """Load per-cycle capacity rows, grouped into one record per cell.
 
-    The CSV must carry the columns ``cell_id,split,cycle,
-    discharge_capacity_ah,nominal_capacity_ah``; every row of a cell names
-    the same split.
+    The CSV header must be CSV_COLUMNS, and every row of a cell must name
+    the same split.  The nominal-capacity column is not read: `normalize`
+    divides by the early-life peak.
     """
     split_names = {s.value for s in Split}
-    rows_by_cell: dict[str, list[tuple[int, float, float]]] = {}
+    rows_by_cell: dict[str, list[tuple[int, float]]] = {}
     split_by_cell: dict[str, str] = {}
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
@@ -122,7 +123,6 @@ def load_cells(path) -> list[CellRecord]:
             try:
                 cycle = int(row[2])
                 cap = float(row[3])
-                nominal = float(row[4])
             except ValueError as e:
                 raise DataError(f"{path}:{lineno}: non-numeric field ({e})") from None
             split_name = row[1].strip()
@@ -131,7 +131,7 @@ def load_cells(path) -> list[CellRecord]:
             prev = split_by_cell.setdefault(cell_id, split_name)
             if prev != split_name:
                 raise DataError(f"{path}:{lineno}: cell {cell_id!r} has conflicting splits")
-            rows_by_cell.setdefault(cell_id, []).append((cycle, cap, nominal))
+            rows_by_cell.setdefault(cell_id, []).append((cycle, cap))
 
     records = []
     for cell_id in sorted(rows_by_cell):
@@ -146,7 +146,6 @@ def load_cells(path) -> list[CellRecord]:
                 split=Split(split_by_cell[cell_id]),
                 cycles=np.array(cycles, dtype=int),
                 capacity_ah=np.array([r[1] for r in rows], dtype=float),
-                nominal_capacity_ah=rows[0][2],
             )
         )
     return records

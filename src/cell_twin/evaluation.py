@@ -21,7 +21,6 @@ CALIBRATION_LEVELS = tuple(np.round(np.arange(0.1, 1.0, 0.1), 10))  # nominal le
 @dataclass(frozen=True)
 class RulErrorSeries:
     """One entry per prediction, in the order given."""
-    cell_id: str
     cycles: np.ndarray                 # int, the cycle each prediction was made at
     true_rul: np.ndarray               # float, cycles from there to the true EOL (0 once past it)
     predicted_rul_median: np.ndarray
@@ -46,7 +45,7 @@ def rul_errors(trace: NormalizedTrace, at_cycles, rul_medians, eol_threshold: fl
         raise DataError(f"{trace.cell_id}: trace never crosses {eol_threshold}")
     cycles, rul_medians = np.asarray(at_cycles), np.asarray(rul_medians, dtype=float)
     true_rul = np.maximum(true_eol - cycles, 0).astype(float)
-    return RulErrorSeries(trace.cell_id, cycles, true_rul, rul_medians, rul_medians - true_rul, true_eol)
+    return RulErrorSeries(cycles, true_rul, rul_medians, rul_medians - true_rul, true_eol)
 
 
 def calibration_curve(predictive_dists: list, observations: list[float]) -> CalibrationCurve:

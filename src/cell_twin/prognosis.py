@@ -61,7 +61,6 @@ class RulPrediction:
     at_cycle: int
     rul_median: float
     rul_quantiles: dict[float, float]
-    eol_threshold: float
 
 
 def _lower_index(cum: np.ndarray, level: float):
@@ -157,5 +156,4 @@ def rul(proj: CapacityProjection, at_cycle: int) -> RulPrediction:
         at_cycle=at_cycle,
         rul_median=dist.quantile(0.5),
         rul_quantiles={lvl: dist.quantile(lvl) for lvl in (0.05, 0.95)},
-        eol_threshold=proj.eol_threshold,
     )

@@ -1,8 +1,10 @@
 """Retirement-cycle optimization over the projected capacity trajectory.
 
-Builds a hybrid trajectory (measured capacity up to the current cycle,
-projected median beyond it), evaluates the combined utility at every
-candidate retirement cycle, and returns the earliest arg-max.  The
+Builds a hybrid trajectory (measured capacity before the current cycle,
+the filter's projected median from it on), evaluates the combined utility
+at every candidate retirement cycle, and returns the earliest arg-max.
+The reading at the current cycle is not used: it fired the trigger, so it
+is selected low, and a noise dip there would move the optimum off it.  The
 candidate set is finite, so the scan is exhaustive by design.
 """
 
@@ -83,16 +85,13 @@ def candidate_cycles(
 
 
 def _hybrid_trajectory(trace: NormalizedTrace, proj: CapacityProjection, current: int) -> np.ndarray:
-    """q indexed by cycle (entry i is cycle i+1): measured prefix, projected suffix."""
-    cyc = trace.cycles
-    mask = cyc <= current
-    measured_cycles = cyc[mask]
+    """q indexed by cycle (entry i is cycle i+1): measured before `current`, projected median from it on."""
+    measured_cycles = trace.cycles[trace.cycles <= current]
     if len(measured_cycles) == 0 or measured_cycles[0] != 1 or not np.all(np.diff(measured_cycles) == 1):
         raise DataError(f"{trace.cell_id}: measured cycles must cover 1..{current} contiguously")
     q = np.empty(proj.horizon_cycle)
-    q[:current] = trace.q[mask]
-    # projection covers current..horizon; skip its value at `current` (measured wins)
-    q[current:] = proj.median_q[current - proj.from_cycle + 1:]
+    q[:current - 1] = trace.q[:current - 1]
+    q[current - 1:] = proj.median_q[current - proj.from_cycle:]
     return q
 
 

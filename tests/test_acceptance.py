@@ -128,8 +128,8 @@ class TestCriterion6RetirementBruteForce:
             decision = ct.optimize_retirement(
                 trace, ens, specs, n_meas, trigger_threshold=float(q[-1]) + 1e-9, proj=proj
             )
-            # independent exhaustive oracle, earliest-tie rule
-            hybrid = np.concatenate([q, proj.median_q[1:]])
+            # independent exhaustive oracle, earliest-tie rule: measured q before n_meas, projected median from it on
+            hybrid = np.concatenate([q[:n_meas - 1], proj.median_q])
             best_c, best_u = None, -np.inf
             for x in decision.candidates:
                 ah = float(np.sum(hybrid[:x]) * 1.1)

@@ -157,16 +157,18 @@ class TestCalibrate:
         assert 4 < fit["median_b"] < 7
 
     def test_synthetic_truth_recovered(self, tmp_path):
-        from cell_twin.synth import synth_trace
+        from cell_twin.model import fade_q
         import csv
 
         p = tmp_path / "three.csv"
+        ks = np.arange(1, 5001)
         with open(p, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["cell_id", "split", "cycle", "discharge_capacity_ah", "nominal_capacity_ah"])
             for i, b in enumerate([5.0, 5.45, 6.0]):
-                ks, caps = synth_trace(-15.77, b, rise_cycles=0, rise_depth=0.0)
-                for k, c in zip(ks, caps):
+                q = fade_q(math.log(10.0) * -15.77, b, np.log(ks))  # noise- and rise-free, cut at q <= 0.8
+                end = int(np.argmax(q <= 0.8)) + 1
+                for k, c in zip(ks[:end], q[:end] * 1.1):
                     w.writerow([f"c{i}", "train", int(k), repr(float(c)), "1.1"])
         cfg_path = tmp_path / "cfg3.json"
         cfg_path.write_text(json.dumps({"dataset": str(p), "output_dir": str(tmp_path / "o3")}))
@@ -346,6 +348,15 @@ def scale_late_row(rows):
     return rows[:200] + [",".join(row)] + rows[201:]
 
 
+def first_cycle(k: int):
+    """A data edit that sets the cycle of a cell's first row to `k`."""
+    def edit(rows):
+        row = rows[0].split(",")
+        row[2] = str(k)
+        return [",".join(row), *rows[1:]]
+    return edit
+
+
 def cut_to(path: Path, n: int):
     path.write_text(path.read_text()[:n])
 
@@ -447,6 +458,8 @@ BAD_INPUTS = {
     "cycles_float": ("simulate", {"schedule": {"cycles": [100.5, 200]}}, None, None, 2, "schedule.cycles"),
     "q_above_bound": ("ingest", {}, ("train_c000", scale_late_row), None, 3, "train_c000"),
     "cell_too_short": ("ingest", {}, ("train_c001", lambda rows: rows[:20]), None, 3, "train_c001"),
+    "cycle_negative": ("ingest", {}, ("train_c000", first_cycle(-1)), None, 3, "train_c000"),
+    "cycle_zero": ("ingest", {}, ("train_c000", first_cycle(0)), None, 3, "train_c000"),
     "fit_truncated": (
         "simulate", {}, None, lambda out: cut_to(out / "fleet_fit.json", 40), 3, "fleet_fit.json"
     ),
@@ -540,7 +553,7 @@ CSV_TAIL = 30  # the `extend.tail` the property test ingests with
 @st.composite
 def mutated_rows(draw, rows):
     """`rows` with one mutation: a row dropped or duplicated; one field set empty, NaN, infinite,
-    negative or to text; a split renamed; a capacity times 1.3; or a cell cut below CSV_TAIL rows."""
+    negative, zero or to text; a split renamed; a capacity times 1.3; or a cell cut below CSV_TAIL rows."""
     i = draw(st.integers(0, len(rows) - 1))
     row = rows[i].split(",")
     kind = draw(st.sampled_from(["drop", "duplicate", "field", "split", "scale", "cut"]))
@@ -553,7 +566,7 @@ def mutated_rows(draw, rows):
         cell = [r for r in rows if r.startswith(row[0] + ",")]
         return [r for r in rows if not r.startswith(row[0] + ",")] + cell[:keep]
     if kind == "field":
-        row[draw(st.integers(0, 4))] = draw(st.sampled_from(["", "nan", "inf", "-1", "x"]))
+        row[draw(st.integers(0, 4))] = draw(st.sampled_from(["", "nan", "inf", "-1", "0", "x"]))
     elif kind == "split":
         row[1] = draw(st.sampled_from([s for s in ("train", "test1", "test2", "validation") if s != row[1]]))
     else:
@@ -562,24 +575,28 @@ def mutated_rows(draw, rows):
 
 
 class TestIngestCsvProperty:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(data=st.data())
     def test_outputs_or_one_error_line(self, small_fleet_rows, tmp_path_factory, data):
-        """One mutation of a valid fleet CSV ends `ingest` in exit 0, 2 or 3; a non-zero exit prints one
-        prefixed stderr line and writes no `cells/`."""
+        """One mutation of a valid fleet CSV ends `ingest` in exit 0, 2 or 3, and a `calibrate` after a
+        successful `ingest` in exit 0 or 3; a non-zero exit prints one prefixed stderr line, and a failed
+        `ingest` writes no `cells/`."""
         header, rows = small_fleet_rows
         root = tmp_path_factory.mktemp("ingest")
         (root / "fleet.csv").write_text("\n".join([header, *data.draw(mutated_rows(rows))]) + "\n")
         cfg = {"dataset": str(root / "fleet.csv"), "output_dir": str(root / "out"), "extend": {"tail": CSV_TAIL}}
         (root / "config.json").write_text(json.dumps(cfg))
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["ingest", "--config", str(root / "config.json")])
-        assert code in (0, 2, 3), err.getvalue()
-        if code:
-            lines = err.getvalue().splitlines()
-            assert len(lines) == 1 and lines[0].startswith({2: "config error:", 3: "data error:"}[code])
-            assert not (root / "out" / "cells").exists()
+        for command, codes in (("ingest", (0, 2, 3)), ("calibrate", (0, 3))):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(root / "config.json")])
+            assert code in codes, err.getvalue()
+            if code:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith({2: "config error:", 3: "data error:"}[code])
+                if command == "ingest":
+                    assert not (root / "out" / "cells").exists()
+                break
 
 
 # every key load_config reads, each set to a valid value; `dataset` is added per test

@@ -55,7 +55,6 @@ class TestLoadCells:
         assert rec.split is Split.TRAIN
         assert rec.cycles.tolist() == [1, 2, 3]
         assert rec.capacity_ah.tolist() == [1.07, 1.06, 1.05]
-        assert rec.nominal_capacity_ah == 1.1
 
     def test_rows_sorted_by_cycle(self, tmp_path):
         p = write_csv(tmp_path, "b1c0,train,3,1.05,1.1\nb1c0,train,1,1.07,1.1\nb1c0,train,2,1.06,1.1\n")
@@ -89,22 +88,22 @@ class TestLoadCells:
 class TestCellRecord:
     def test_nonmonotone_cycles_rejected(self):
         with pytest.raises(DataError, match="cycles not strictly increasing"):
-            CellRecord("c", Split.TRAIN, np.array([1, 3, 2]), np.array([1.0, 1.0, 1.0]), 1.1)
+            CellRecord("c", Split.TRAIN, np.array([1, 3, 2]), np.array([1.0, 1.0, 1.0]))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            CellRecord("c", Split.TRAIN, np.array([], dtype=int), np.array([]), 1.1)
+            CellRecord("c", Split.TRAIN, np.array([], dtype=int), np.array([]))
 
 
 class TestNormalize:
     def test_constant_trace(self):
-        rec = CellRecord("c", Split.TRAIN, np.arange(1, 11), np.full(10, 1.1), 1.1)
+        rec = CellRecord("c", Split.TRAIN, np.arange(1, 11), np.full(10, 1.1))
         tr = normalize(rec)
         assert np.allclose(tr.q, 1.0)
         assert tr.q0_ah == 1.1
 
     def test_arithmetic(self):
-        rec = CellRecord("c", Split.TRAIN, np.arange(1, 4), np.array([1.05, 1.10, 1.08]), 1.1)
+        rec = CellRecord("c", Split.TRAIN, np.arange(1, 4), np.array([1.05, 1.10, 1.08]))
         tr = normalize(rec, window=100)
         assert tr.q0_ah == 1.10
         assert np.allclose(tr.q, [1.05 / 1.1, 1.0, 1.08 / 1.1])
@@ -112,15 +111,15 @@ class TestNormalize:
     def test_peak_within_window_brute_force(self):
         rng = np.random.default_rng(7)
         caps = 1.05 + 0.05 * np.sin(np.linspace(0, 3, 200)) + rng.normal(0, 1e-3, 200)
-        rec = CellRecord("c", Split.TRAIN, np.arange(1, 201), caps, 1.1)
+        rec = CellRecord("c", Split.TRAIN, np.arange(1, 201), caps)
         tr = normalize(rec, window=100)
         assert tr.q0_ah == max(caps[:100])
         assert np.max(tr.q[:100]) == pytest.approx(1.0)
 
     def test_idempotent_up_to_scaling(self):
-        rec = CellRecord("c", Split.TRAIN, np.arange(1, 51), np.linspace(1.1, 0.9, 50), 1.1)
+        rec = CellRecord("c", Split.TRAIN, np.arange(1, 51), np.linspace(1.1, 0.9, 50))
         tr = normalize(rec)
-        rec2 = CellRecord("c", Split.TRAIN, tr.cycles, tr.q * tr.q0_ah, tr.q0_ah)
+        rec2 = CellRecord("c", Split.TRAIN, tr.cycles, tr.q * tr.q0_ah)
         tr2 = normalize(rec2)
         assert np.allclose(tr.q, tr2.q)
 

@@ -129,6 +129,19 @@ class TestOptimizeRetirement:
         assert decision.optimal_cycle == current
         assert decision.phi["ah"][0] == pytest.approx(1.0)
 
+    def test_dip_at_current_retires_at_current(self):
+        # the reading that fires the trigger dips below the cell's curve; the scan uses the
+        # filter's median at `current`, so with the Ah utility saturated the optimum stays there
+        trace = fading_trace()
+        current = 300
+        ens = matched_ensemble(trace, current)
+        q = trace.q.copy()
+        q[current - 1] -= 0.01
+        dipped = NormalizedTrace("c", trace.cycles, q, trace.q0_ah)
+        decision = optimize_retirement(dipped, ens, specs_for(l_ah=1.0, h_ah=2.0), current=current)
+        assert np.all(decision.phi["ah"] > 1 - 1e-9)
+        assert decision.optimal_cycle == current
+
     def test_mtbc_saturated_retires_latest(self):
         # MTBC utility pinned at 1 (bounds far below any q): Ah strictly increasing
         trace = fading_trace()
@@ -145,9 +158,9 @@ class TestOptimizeRetirement:
         ens = make_ensemble([-15.77, -15.5, -16.0], [5.45, 5.2, 5.7], last_cycle=current)
         specs = specs_for(200, 500)
         decision = optimize_retirement(trace, ens, specs, current=current)
-        # independent brute force from the decision's own raw attribute values
+        # independent brute force: measured q before `current`, the projected median from it on
         proj = project(ens, current, 0.5)
-        q = np.concatenate([trace.q[:current], proj.median_q[1:]])
+        q = np.concatenate([trace.q[:current - 1], proj.median_q])
         best_cycle, best_lam = None, -np.inf
         for x in decision.candidates:
             ah = float(np.sum(q[:x]) * trace.q0_ah)

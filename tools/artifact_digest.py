@@ -5,7 +5,10 @@ Runs ingest, calibrate, simulate and evaluate on a synthetic fleet
 particles, schedule stride 150, default seed), then `retire`
 on every test cell, and prints the number of files written and one
 combined hash: sha256 over the sorted lines `path\\0sha256(file)\\n`,
-with paths relative to the output directory.
+with paths relative to the output directory.  Then one line per
+top-level entry of the output tree (`cells`, `sim`, `retire`, ...): its
+name, its file count and the same hash over its own lines, so a changed
+hash shows which stage changed.
 
     python3 tools/artifact_digest.py [CHECKOUT]
 
@@ -70,13 +73,21 @@ def run_pipeline(work: Path) -> Path:
     return out
 
 
-def digest(root: Path) -> tuple[int, str]:
-    lines = sorted(
-        f"{p.relative_to(root).as_posix()}\0{hashlib.sha256(p.read_bytes()).hexdigest()}\n"
-        for p in root.rglob("*")
-        if p.is_file()
-    )
-    return len(lines), hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
+def count_and_hash(lines: list[str]) -> tuple[int, str]:
+    return len(lines), hashlib.sha256("".join(sorted(lines)).encode("utf-8")).hexdigest()
+
+
+def digest(root: Path) -> tuple[int, str, dict[str, tuple[int, str]]]:
+    """(file count, combined hash) of the tree at `root`, and the same pair per top-level entry."""
+    entries: dict[str, list[str]] = {}
+    for p in root.rglob("*"):
+        if p.is_file():
+            rel = p.relative_to(root)
+            entries.setdefault(rel.parts[0], []).append(
+                f"{rel.as_posix()}\0{hashlib.sha256(p.read_bytes()).hexdigest()}\n"
+            )
+    per_entry = {name: count_and_hash(lines) for name, lines in sorted(entries.items())}
+    return (*count_and_hash([line for lines in entries.values() for line in lines]), per_entry)
 
 
 def main() -> None:
@@ -85,9 +96,11 @@ def main() -> None:
     args = parser.parse_args()
     import_package(args.checkout.resolve())
     with tempfile.TemporaryDirectory(prefix="artifact_digest_") as tmp:
-        n_files, combined = digest(run_pipeline(Path(tmp)))
+        n_files, combined, per_entry = digest(run_pipeline(Path(tmp)))
     print(f"files: {n_files}")
     print(f"sha256: {combined}")
+    for name, (n, h) in per_entry.items():
+        print(f"{name}: {n} files, sha256 {h}")
 
 
 if __name__ == "__main__":

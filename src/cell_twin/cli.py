@@ -2,8 +2,12 @@
 
 All commands read a single JSON config, validate it fully before any
 side effect, and write plot-ready CSV / JSON artifacts with atomic
-renames.  Exit codes: 0 success, 2 config error, 3 data error, 4
-runtime error.
+renames.  A command computes each output directory (`cells/`,
+`sim/<cell>/`, `retire/<cell>/`, `metrics/`) as a value first, then
+`write_dir` replaces the directory with exactly those files, so a failure
+while computing leaves the last complete run's directory and a rerun keeps
+no file of an earlier one.  Exit codes: 0 success, 2 config error, 3 data
+error (a missing or corrupted earlier output among them), 4 runtime error.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
 import tempfile
 from dataclasses import dataclass, fields, replace
@@ -154,6 +159,14 @@ def write_csv(path: Path, columns: dict):
     atomic_write_text(path, "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n")
 
 
+def write_dir(directory: Path, files: dict):
+    """Replace `directory` with exactly `files`: name -> text, or name -> columns for `write_csv`."""
+    if directory.exists():
+        shutil.rmtree(directory)
+    for name, content in files.items():
+        (atomic_write_text if isinstance(content, str) else write_csv)(directory / name, content)
+
+
 def cell_seed(base_seed: int, cell_id: str) -> int:
     digest = hashlib.sha256(cell_id.encode("utf-8")).digest()
     return (base_seed + int.from_bytes(digest[:8], "big")) % (2 ** 63)
@@ -162,9 +175,11 @@ def cell_seed(base_seed: int, cell_id: str) -> int:
 # --- preprocessing shared by commands ---
 
 def decoded(path: Path, decode):
-    """`decode(text of path)`; a file that does not decode is a DataError naming it."""
+    """`decode(text of path)`; a file that is missing or does not decode is a DataError naming it."""
     try:
         return decode(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise DataError(f"{path}: missing") from None
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
         raise DataError(f"{path}: corrupted ({type(e).__name__}: {e})") from None
 
@@ -209,20 +224,13 @@ def prediction_schedule(cfg: RunConfig, trace: dataset.NormalizedTrace) -> list[
 def cmd_ingest(cfg: RunConfig) -> int:
     cells = dataset.load_cells(cfg.dataset)
     traces = [dataset.normalize(cell, cfg.normalize_window) for cell in cells]
-    # every cell is checked before the first file is written
     traces = [dataset.extend_linear(t, cfg.extend_tail, cfg.extend_floor) for t in traces]
-    counts = {}
-    split_map = {}
-    for cell, trace in zip(cells, traces):
-        atomic_write_text(
-            cfg.output_dir / "cells" / f"{cell.cell_id}.json",
-            json.dumps(trace.to_json_dict()),
-        )
-        split_map[cell.cell_id] = cell.split.value
-        counts[cell.split.value] = counts.get(cell.split.value, 0) + 1
+    cell_files = {f"{c.cell_id}.json": json.dumps(t.to_json_dict()) for c, t in zip(cells, traces)}
+    write_dir(cfg.output_dir / "cells", cell_files)
+    split_map = {c.cell_id: c.split.value for c in cells}
     atomic_write_text(cfg.output_dir / "manifest.json", json.dumps(split_map, sort_keys=True))
-    total = sum(counts.values())
-    print(f"ingested {total} cells: " + ", ".join(f"{s}={counts.get(s, 0)}" for s in ["train", "test1", "test2"]))
+    counts = ", ".join(f"{s.value}={sum(c.split is s for c in cells)}" for s in dataset.Split)
+    print(f"ingested {len(cells)} cells: {counts}")
     return EXIT_OK
 
 
@@ -238,32 +246,26 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _simulate_cell(cfg: RunConfig, cell_id: str, trace: dataset.NormalizedTrace) -> list[int]:
-    schedule = prediction_schedule(cfg, trace)
-    sim_dir = cfg.output_dir / "sim" / cell_id
+def _simulate_cell(cfg: RunConfig, cell_id: str, trace: dataset.NormalizedTrace, schedule: list[int]) -> dict:
+    """The files of `sim/<cell_id>/` for predictions at `schedule`, as `write_dir` takes them."""
     fcfg = replace(cfg.filter, seed=cell_seed(cfg.filter.seed, cell_id))
     ens = filtering.init(fcfg)
+    files = {}
     preds = []
     for k in schedule:
         filtering.assimilate(ens, trace, k, fcfg.noise)
         proj = prognosis.project(ens, from_cycle=k, eol_threshold=cfg.eol)
-        write_csv(
-            sim_dir / f"projection_{k:06d}.csv",
-            {"cycle": proj.cycles, "median_q": proj.median_q, "q05": proj.q05, "q95": proj.q95},
-        )
-        write_csv(sim_dir / f"eol_{k:06d}.csv", {"eol_cycle": proj.per_particle_eol, "weight": proj.eol_weights})
+        band = {"cycle": proj.cycles, "median_q": proj.median_q, "q05": proj.q05, "q95": proj.q95}
+        files[f"projection_{k:06d}.csv"] = band
+        files[f"eol_{k:06d}.csv"] = {"eol_cycle": proj.per_particle_eol, "weight": proj.eol_weights}
         pred = prognosis.rul(proj, k)
-        preds.append(
-            {
-                "at_cycle": pred.at_cycle,
-                "rul_median": pred.rul_median,
-                "rul_quantiles": {repr(lvl): v for lvl, v in sorted(pred.rul_quantiles.items())},
-                "eol_threshold": cfg.eol,
-            }
-        )
-    atomic_write_text(sim_dir / "predictions.json", json.dumps(preds))
-    atomic_write_text(sim_dir / "ensemble.json", ens.to_json())
-    return schedule
+        preds.append({
+            "at_cycle": pred.at_cycle, "rul_median": pred.rul_median,
+            "rul_quantiles": {repr(lvl): v for lvl, v in sorted(pred.rul_quantiles.items())}, "eol_threshold": cfg.eol,
+        })
+    files["predictions.json"] = json.dumps(preds)
+    files["ensemble.json"] = ens.to_json()
+    return files
 
 
 def cmd_simulate(cfg: RunConfig, cell_id: str | None) -> int:
@@ -277,7 +279,8 @@ def cmd_simulate(cfg: RunConfig, cell_id: str | None) -> int:
     cfg = with_fleet_fit(cfg)
     # per-cell seeds come from (seed, cell_id): a cell's outputs do not depend on the other cells
     for c in targets:
-        schedule = _simulate_cell(cfg, c, traces[c][1])
+        schedule = prediction_schedule(cfg, traces[c][1])
+        write_dir(cfg.output_dir / "sim" / c, _simulate_cell(cfg, c, traces[c][1], schedule))
         print(f"{c}: {len(schedule)} prediction cycles")
     return EXIT_OK
 
@@ -305,22 +308,23 @@ def cmd_retire(cfg: RunConfig, cell_id: str, current: int | None) -> int:
         eol_threshold=cfg.eol,
         discharge_rate_c=cfg.discharge_rate_c,
     )
-    ret_dir = cfg.output_dir / "retire" / cell_id
-    write_csv(ret_dir / "utility_curve.csv", {
-        "cycle": decision.candidates,
-        "utility": decision.combined,
-        **{f"phi_{n}": v for n, v in decision.phi.items()},
-        **decision.raw,
+    write_dir(cfg.output_dir / "retire" / cell_id, {
+        "utility_curve.csv": {
+            "cycle": decision.candidates,
+            "utility": decision.combined,
+            **{f"phi_{n}": v for n, v in decision.phi.items()},
+            **decision.raw,
+        },
+        "decision.json": json.dumps(decision.summary_dict()),
     })
-    atomic_write_text(ret_dir / "decision.json", json.dumps(decision.summary_dict()))
     print(f"{cell_id}: optimal retirement cycle {decision.optimal_cycle} (utility {decision.optimal_utility:.4f})")
     return EXIT_OK
 
 
 def eol_table(text: str) -> prognosis.EolDistribution:
-    """An `eol_*.csv` written by simulate; a truncated one fails the weight sum."""
-    rows = np.loadtxt(text.splitlines(), delimiter=",", skiprows=1, ndmin=2)
-    if rows.shape[1] != 2 or not np.all(np.isfinite(rows)) or not filtering.valid_weights(rows[:, 1]):
+    """An `eol_*.csv` written by simulate; a truncated one fails the weight sum (np.loadtxt would warn on no rows)."""
+    rows = np.array([line.split(",") for line in text.splitlines()[1:]], dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 2 or not np.all(np.isfinite(rows)) or not filtering.valid_weights(rows[:, 1]):
         raise ValueError(f"expected finite (eol_cycle, weight) rows, weights >= 0 summing to 1; got {rows.shape}")
     return prognosis.EolDistribution(rows[:, 0], rows[:, 1])
 
@@ -343,6 +347,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     if not simulated:
         raise DataError("no simulate outputs found; run simulate first")
 
+    metrics = {}
     dists = []
     observed_eols = []
     for cell_id in simulated:
@@ -353,12 +358,12 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         if not len(at_cycle):
             continue
         series = evaluation.rul_errors(trace, at_cycle, rul_median, cfg.eol)
-        write_csv(cfg.output_dir / "metrics" / f"rul_errors_{cell_id}.csv", {
+        metrics[f"rul_errors_{cell_id}.csv"] = {
             "cycle": series.cycles,
             "true_rul": series.true_rul,
             "pred_rul": series.predicted_rul_median,
             "err": series.signed_error,
-        })
+        }
         dists.append(decoded(sim_root / cell_id / f"eol_{at_cycle[0]:06d}.csv", eol_table))
         observed_eols.append(float(series.true_eol))
 
@@ -367,7 +372,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     if len(dists) == 1:
         print("warning: calibration curve computed from a single cell")
     curve = evaluation.calibration_curve(dists, observed_eols)
-    write_csv(cfg.output_dir / "metrics" / "calibration.csv", {"level": curve.levels, "observed": curve.observed})
+    metrics["calibration.csv"] = {"level": curve.levels, "observed": curve.observed}
+    write_dir(cfg.output_dir / "metrics", metrics)
     print(f"calibration over {curve.n_samples} cells: area deviation {curve.area_deviation:.4f}")
     return EXIT_OK
 

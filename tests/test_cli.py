@@ -3,8 +3,10 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -15,11 +17,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import cell_twin
-from cell_twin import filtering
+from cell_twin import filtering, prognosis
 from cell_twin.cli import (
     RunConfig, cell_seed, decoded, load_config, load_traces, main, prediction_columns, with_fleet_fit, write_csv,
 )
-from cell_twin.errors import ConfigError, DataError
+from cell_twin.errors import CellTwinError, ConfigError, DataError
 from cell_twin.prognosis import project
 from cell_twin.synth import synth_fleet_csv
 from conftest import rise_then_fade_trace
@@ -50,6 +52,13 @@ def run(cmd, cfg_path, *extra):
 
 def tree_bytes(root: Path) -> dict:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def sim_files(sim: Path) -> list[str]:
+    """The file names simulate writes in `sim`, by the cycles of its `predictions.json`."""
+    cycles = [p["at_cycle"] for p in json.loads((sim / "predictions.json").read_text())]
+    per_cycle = [f"{kind}_{k:06d}.csv" for k in cycles for kind in ("eol", "projection")]
+    return sorted(["ensemble.json", "predictions.json", *per_cycle])
 
 
 class TestIngest:
@@ -233,6 +242,37 @@ class TestSimulate:
         assert capsys.readouterr().err.splitlines() == [line]
         assert not (out / "sim").exists()
 
+    def test_rerun_at_another_stride_keeps_only_its_files(self, tmp_path):
+        cfg, out = make_config(tmp_path, schedule={"stride": 100})
+        assert run("ingest", cfg) == 0 and run("calibrate", cfg) == 0 and run("simulate", cfg) == 0
+        cfg, _ = make_config(tmp_path, schedule={"stride": 70})
+        assert run("simulate", cfg) == 0
+        for sim in (out / "sim").iterdir():
+            assert sorted(p.name for p in sim.iterdir()) == sim_files(sim)
+
+    def test_failing_cell_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        """A cell that fails at its second prediction leaves no `sim/<cell>/`; a cell simulated before
+        keeps its directory."""
+        cfg, out = make_config(tmp_path, schedule={"stride": 100})
+        assert run("ingest", cfg) == 0 and run("calibrate", cfg) == 0
+        done, cell = sorted(c for c, s in json.loads((out / "manifest.json").read_text()).items() if s != "train")[:2]
+        assert run("simulate", cfg, "--cell", done) == 0
+        kept = tree_bytes(out / "sim" / done)
+        capsys.readouterr()
+        calls = []
+
+        def second_fails(*args, **kwargs):
+            calls.append(kwargs["from_cycle"])
+            if len(calls) == 2:
+                raise CellTwinError("injected")
+            return project(*args, **kwargs)
+
+        monkeypatch.setattr(prognosis, "project", second_fails)
+        assert main(["simulate", "--config", str(cfg), "--cell", cell]) == 4
+        assert len(calls) == 2 and capsys.readouterr().err.splitlines() == ["error: injected"]
+        assert not (out / "sim" / cell).exists()
+        assert tree_bytes(out / "sim" / done) == kept
+
     def test_determinism_same_seed(self, tmp_path):
         cfg, out = make_config(tmp_path)
         run("ingest", cfg)
@@ -288,6 +328,15 @@ class TestEvaluate:
         assert len(list((out / "metrics").glob("rul_errors_*.csv"))) == 4
         cal = (out / "metrics" / "calibration.csv").read_text().splitlines()
         assert cal[0] == "level,observed"
+
+    def test_rerun_removes_other_files(self, tmp_path):
+        cfg, out = make_config(tmp_path)
+        assert run("ingest", cfg) == 0 and run("calibrate", cfg) == 0 and run("simulate", cfg) == 0
+        (out / "metrics").mkdir()
+        (out / "metrics" / "rul_errors_ghost.csv").write_text("cycle,true_rul,pred_rul,err\n")
+        assert run("evaluate", cfg) == 0
+        assert not (out / "metrics" / "rul_errors_ghost.csv").exists()
+        assert len(list((out / "metrics").iterdir())) == 5  # four test cells and calibration.csv
 
     def test_without_simulate_fails(self, tmp_path):
         cfg, _ = make_config(tmp_path)
@@ -400,6 +449,11 @@ def unlink_fit(out: Path):
     (out / "fleet_fit.json").unlink()
 
 
+def delete(pattern: str):
+    """An output edit that deletes the first file matching `pattern`."""
+    return lambda out: sorted(out.glob(pattern))[0].unlink()
+
+
 def wide_prior(init_b: float) -> dict:
     """Config overrides that project a 200-particle prior around `init_b` from cycle 1."""
     return {"filter": {"n_particles": 200, "init_b": init_b, "init_spread_b": 0.05}, "schedule": {"cycles": [1]}}
@@ -505,6 +559,11 @@ BAD_INPUTS = {
         "evaluate", {}, None, set_prediction("at_cycle", 369.5), 3, "predictions.json"
     ),
     "predictions_rul_str": ("evaluate", {}, None, set_prediction("rul_median", "x"), 3, "predictions.json"),
+    "manifest_missing": ("calibrate", {}, None, delete("manifest.json"), 3, "manifest.json: missing"),
+    "predictions_missing": (
+        "evaluate", {}, None, delete("sim/test1_c000/predictions.json"), 3, "predictions.json: missing"
+    ),
+    "eol_missing": ("evaluate", {}, None, delete("sim/test1_c000/eol_*.csv"), 3, ".csv: missing"),
 }
 
 
@@ -597,6 +656,66 @@ class TestIngestCsvProperty:
                 if command == "ingest":
                     assert not (root / "out" / "cells").exists()
                 break
+
+
+@pytest.fixture(scope="module")
+def simulated_fleet(tmp_path_factory):
+    """A six-cell fleet at 150 particles after ingest, calibrate and simulate; returns the config
+    path and the output directory, which each example copies."""
+    root = tmp_path_factory.mktemp("simulated")
+    synth_fleet_csv(root / "fleet.csv", n_train=2, n_test1=2, n_test2=2, seed=7)
+    cfg, out = make_config(root)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert all(run(command, cfg) == 0 for command in ("ingest", "calibrate", "simulate"))
+    return cfg, out
+
+
+# the earlier outputs a mutation picks from, as globs under the output directory
+EARLIER_OUTPUTS = ["manifest.json", "fleet_fit.json", "cells/*.json", "sim/*/predictions.json", "sim/*/eol_*.csv"]
+
+
+class TestEarlierOutputsProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_outputs_or_one_error_line(self, simulated_fleet, tmp_path_factory, data):
+        """One earlier output truncated, emptied or deleted, or an extra directory under `sim/`, ends
+        `simulate`, `evaluate` or `retire` in exit 0, 2, 3 or 4 with no warning; a non-zero exit prints
+        one prefixed stderr line; after `simulate` every untouched `sim/<cell>/` holds exactly its
+        predictions' files."""
+        cfg, prepared = simulated_fleet
+        out = tmp_path_factory.mktemp("outputs") / "out"
+        shutil.copytree(prepared, out)
+        ids = sorted(json.loads((out / "manifest.json").read_text()))
+        simulated = {p.name for p in (out / "sim").iterdir()}
+        touched = None
+        if data.draw(st.booleans(), label="extra sim directory"):
+            touched = out / "sim" / data.draw(st.sampled_from(["ghost", *ids]))
+            touched.mkdir(exist_ok=True)
+        else:
+            pattern = data.draw(st.sampled_from(EARLIER_OUTPUTS))
+            path = data.draw(st.sampled_from(sorted(out.glob(pattern))), label="path")
+            text = path.read_text()
+            edit = data.draw(st.sampled_from(["truncate", "empty", "delete"]))
+            if edit == "delete":
+                path.unlink()
+            else:
+                path.write_text(text[:data.draw(st.integers(1, len(text) - 1))] if edit == "truncate" else "")
+            touched = path.parent if path.parent.parent.name == "sim" else None
+        command = data.draw(st.sampled_from(["simulate", "evaluate", "retire"]))
+        cell = ["--cell", data.draw(st.sampled_from(ids))] if command == "retire" else []
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, "--config", str(cfg), "--out", str(out), *cell])
+        assert code in (0, 2, 3, 4) and not caught, (err.getvalue(), [str(w.message) for w in caught])
+        if code:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith({2: "config error:", 3: "data error:", 4: "error:"}[code])
+        if command == "simulate":
+            for sim in (out / "sim").iterdir():
+                if sim != touched or code == 0 and sim.name in simulated:
+                    assert sorted(p.name for p in sim.iterdir()) == sim_files(sim)
 
 
 # every key load_config reads, each set to a valid value; `dataset` is added per test

@@ -159,12 +159,16 @@ def write_csv(path: Path, columns: dict):
     atomic_write_text(path, "\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n")
 
 
-def write_dir(directory: Path, files: dict):
-    """Replace `directory` with exactly `files`: name -> text, or name -> columns for `write_csv`."""
+def write_dir(parent: Path, name: str, files: dict):
+    """Replace `parent / name` with exactly `files`: file name -> text, or -> columns for `write_csv`.
+    Every name must be one path component, so only that one directory is ever deleted."""
+    for n in (name, *files):
+        dataset.checked_name(n)
+    directory = parent / name
     if directory.exists():
         shutil.rmtree(directory)
-    for name, content in files.items():
-        (atomic_write_text if isinstance(content, str) else write_csv)(directory / name, content)
+    for file_name, content in files.items():
+        (atomic_write_text if isinstance(content, str) else write_csv)(directory / file_name, content)
 
 
 def cell_seed(base_seed: int, cell_id: str) -> int:
@@ -187,7 +191,7 @@ def decoded(path: Path, decode):
 def load_traces(cfg: RunConfig) -> dict[str, tuple[dataset.Split, dataset.NormalizedTrace]]:
     manifest = decoded(
         cfg.output_dir / "manifest.json",
-        lambda text: {c: dataset.Split(s) for c, s in sorted(json.loads(text).items())},
+        lambda text: {dataset.checked_name(c): dataset.Split(s) for c, s in sorted(json.loads(text).items())},
     )
     return {
         cell_id: (split, decoded(
@@ -226,7 +230,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
     traces = [dataset.normalize(cell, cfg.normalize_window) for cell in cells]
     traces = [dataset.extend_linear(t, cfg.extend_tail, cfg.extend_floor) for t in traces]
     cell_files = {f"{c.cell_id}.json": json.dumps(t.to_json_dict()) for c, t in zip(cells, traces)}
-    write_dir(cfg.output_dir / "cells", cell_files)
+    write_dir(cfg.output_dir, "cells", cell_files)
     split_map = {c.cell_id: c.split.value for c in cells}
     atomic_write_text(cfg.output_dir / "manifest.json", json.dumps(split_map, sort_keys=True))
     counts = ", ".join(f"{s.value}={sum(c.split is s for c in cells)}" for s in dataset.Split)
@@ -259,10 +263,14 @@ def _simulate_cell(cfg: RunConfig, cell_id: str, trace: dataset.NormalizedTrace,
         files[f"projection_{k:06d}.csv"] = band
         files[f"eol_{k:06d}.csv"] = {"eol_cycle": proj.per_particle_eol, "weight": proj.eol_weights}
         pred = prognosis.rul(proj, k)
-        preds.append({
-            "at_cycle": pred.at_cycle, "rul_median": pred.rul_median,
-            "rul_quantiles": {repr(lvl): v for lvl, v in sorted(pred.rul_quantiles.items())}, "eol_threshold": cfg.eol,
-        })
+        preds.append(
+            {
+                "at_cycle": pred.at_cycle,
+                "rul_median": pred.rul_median,
+                "rul_quantiles": {repr(lvl): v for lvl, v in sorted(pred.rul_quantiles.items())},
+                "eol_threshold": cfg.eol,
+            }
+        )
     files["predictions.json"] = json.dumps(preds)
     files["ensemble.json"] = ens.to_json()
     return files
@@ -280,7 +288,7 @@ def cmd_simulate(cfg: RunConfig, cell_id: str | None) -> int:
     # per-cell seeds come from (seed, cell_id): a cell's outputs do not depend on the other cells
     for c in targets:
         schedule = prediction_schedule(cfg, traces[c][1])
-        write_dir(cfg.output_dir / "sim" / c, _simulate_cell(cfg, c, traces[c][1], schedule))
+        write_dir(cfg.output_dir / "sim", c, _simulate_cell(cfg, c, traces[c][1], schedule))
         print(f"{c}: {len(schedule)} prediction cycles")
     return EXIT_OK
 
@@ -308,7 +316,7 @@ def cmd_retire(cfg: RunConfig, cell_id: str, current: int | None) -> int:
         eol_threshold=cfg.eol,
         discharge_rate_c=cfg.discharge_rate_c,
     )
-    write_dir(cfg.output_dir / "retire" / cell_id, {
+    write_dir(cfg.output_dir / "retire", cell_id, {
         "utility_curve.csv": {
             "cycle": decision.candidates,
             "utility": decision.combined,
@@ -373,7 +381,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         print("warning: calibration curve computed from a single cell")
     curve = evaluation.calibration_curve(dists, observed_eols)
     metrics["calibration.csv"] = {"level": curve.levels, "observed": curve.observed}
-    write_dir(cfg.output_dir / "metrics", metrics)
+    write_dir(cfg.output_dir, "metrics", metrics)
     print(f"calibration over {curve.n_samples} cells: area deviation {curve.area_deviation:.4f}")
     return EXIT_OK
 

@@ -21,6 +21,13 @@ MAX_EXTENSION = 10  # x the last measured cycle; synthetic fleets need at most 0
 CSV_COLUMNS = ["cell_id", "split", "cycle", "discharge_capacity_ah", "nominal_capacity_ah"]
 
 
+def checked_name(name: str) -> str:
+    """`name` if it names one file or directory inside its parent (a cell id names both); else DataError."""
+    if name in ("", ".", "..") or not set(name).isdisjoint("/\\\0"):
+        raise DataError(f"{name!r} cannot name a cell's file or directory: it is empty, '.' or '..', or holds /, \\ or NUL")
+    return name
+
+
 class Split(enum.Enum):
     TRAIN = "train"
     PRIMARY_TEST = "test1"
@@ -37,6 +44,7 @@ class CellRecord:
     capacity_ah: np.ndarray     # float, finite and strictly positive, same length
 
     def __post_init__(self):
+        checked_name(self.cell_id)
         cycles = np.asarray(self.cycles, dtype=int)
         caps = np.asarray(self.capacity_ah, dtype=float)
         if len(cycles) == 0 or len(cycles) != len(caps):

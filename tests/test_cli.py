@@ -20,6 +20,7 @@ import cell_twin
 from cell_twin import filtering, prognosis
 from cell_twin.cli import (
     RunConfig, cell_seed, decoded, load_config, load_traces, main, prediction_columns, with_fleet_fit, write_csv,
+    write_dir,
 )
 from cell_twin.errors import CellTwinError, ConfigError, DataError
 from cell_twin.prognosis import project
@@ -406,6 +407,21 @@ def first_cycle(k: int):
     return edit
 
 
+def rename_cell(new_id: str):
+    """A data edit that renames a cell to `new_id`."""
+    return lambda rows: [",".join([new_id, *row.split(",")[1:]]) for row in rows]
+
+
+def rename_in_manifest(new_id: str):
+    """An output edit that renames test1_c000 to `new_id` in manifest.json and cells/."""
+    def edit(out: Path):
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest[new_id] = manifest.pop("test1_c000")
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        (out / "cells" / "test1_c000.json").rename(out / "cells" / f"{new_id}.json")
+    return edit
+
+
 def cut_to(path: Path, n: int):
     path.write_text(path.read_text()[:n])
 
@@ -564,6 +580,14 @@ BAD_INPUTS = {
         "evaluate", {}, None, delete("sim/test1_c000/predictions.json"), 3, "predictions.json: missing"
     ),
     "eol_missing": ("evaluate", {}, None, delete("sim/test1_c000/eol_*.csv"), 3, ".csv: missing"),
+    # a cell id names cells/<id>.json, sim/<id>/ and retire/<id>/, so it must be one path component
+    "cell_id_dotdot": ("ingest", {}, ("test1_c000", rename_cell("..")), None, 3, "'..'"),
+    "cell_id_dot": ("ingest", {}, ("test1_c000", rename_cell(".")), None, 3, "'.'"),
+    "cell_id_empty": ("ingest", {}, ("test1_c000", rename_cell("")), None, 3, "''"),
+    "cell_id_up_path": ("ingest", {}, ("test1_c000", rename_cell("../x")), None, 3, "'../x'"),
+    "cell_id_backslash": ("ingest", {}, ("test1_c000", rename_cell("a\\b")), None, 3, "'a\\\\b'"),
+    "manifest_id_dotdot": ("simulate", {}, None, rename_in_manifest(".."), 3, "'..'"),
+    "manifest_id_empty": ("retire", {}, None, rename_in_manifest(""), 3, "''"),
 }
 
 
@@ -583,6 +607,7 @@ class TestBadInputExit:
         if out_edit is not None:
             out_edit(out)
         cfg, _ = make_config(tmp_path, out_name="out", **overrides)
+        before = tree_bytes(tmp_path)
         argv = [command, "--config", str(cfg)] + (["--cell", "test1_c000"] if command == "retire" else [])
         env = {**os.environ, "PYTHONPATH": str(Path(cell_twin.__file__).parent.parent)}
         proc = subprocess.run(
@@ -594,7 +619,7 @@ class TestBadInputExit:
         assert err[0].startswith({2: "config error:", 3: "data error:", 4: "error:"}[code])
         if command == "ingest":
             assert not (out / "cells").exists()
-
+        assert tree_bytes(tmp_path) == before  # a failed command writes nothing
 
 
 @pytest.fixture(scope="module")
@@ -868,3 +893,22 @@ class TestWriteCsv:
         with pytest.raises(ValueError, match="unequal lengths"):
             write_csv(tmp_path / "t.csv", {"a": np.zeros(3), "b": np.zeros(2)})
         assert not (tmp_path / "t.csv").exists()
+
+
+class TestWriteDir:
+    def test_replaces_directory_with_exactly_files(self, tmp_path):
+        (tmp_path / "d").mkdir()
+        (tmp_path / "d" / "stale.csv").write_text("x\n")
+        write_dir(tmp_path, "d", {"a.json": "[]", "b.csv": {"k": np.arange(2)}})
+        assert tree_bytes(tmp_path) == {"d/a.json": b"[]", "d/b.csv": b"k\n0\n1\n"}
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "../x", "a/b", "a\\b", "a\0b"])
+    @pytest.mark.parametrize("as_file", [False, True])
+    def test_name_that_is_not_one_component_deletes_nothing(self, tmp_path, name, as_file):
+        parent = tmp_path / "out" / "sim"
+        (parent / "c").mkdir(parents=True)
+        (parent / "c" / "kept.json").write_text("{}")
+        before = tree_bytes(tmp_path)
+        with pytest.raises(DataError, match="cannot name a cell's file or directory"):
+            write_dir(parent, "c", {name: "x"}) if as_file else write_dir(parent, name, {"f.json": "x"})
+        assert tree_bytes(tmp_path) == before

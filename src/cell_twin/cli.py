@@ -196,7 +196,8 @@ def load_traces(cfg: RunConfig) -> dict[str, tuple[dataset.Split, dataset.Normal
     return {
         cell_id: (split, decoded(
             cfg.output_dir / "cells" / f"{cell_id}.json",
-            lambda text: dataset.NormalizedTrace.from_json_dict(json.loads(text)),
+            # the file's name is the cell's id: its own cell_id field is not read
+            lambda text: dataset.NormalizedTrace.from_json_dict({**json.loads(text), "cell_id": cell_id}),
         ))
         for cell_id, split in manifest.items()
     }

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .model import checked
 
 MAX_EXTENSION = 10  # x the last measured cycle; synthetic fleets need at most 0.4
 
@@ -78,6 +79,8 @@ class NormalizedTrace:
             raise DataError(f"{self.cell_id}: q0_ah must be positive")
         if np.max(self.q) > 1.15:
             raise DataError(f"{self.cell_id}: normalized capacity exceeds sanity bound 1.15")
+        if self.extrapolated_from is not None:
+            checked(f"{self.cell_id}: extrapolated_from", self.extrapolated_from, 1, integer=True)
 
     @property
     def measured_mask(self) -> np.ndarray:

@@ -63,36 +63,42 @@ class RulPrediction:
     rul_quantiles: dict[float, float]
 
 
-def _lower_index(cum: np.ndarray, level: float):
-    """First row, per column of cumulative weights `cum` (last row 1), to reach `level`."""
-    return np.minimum((cum < level).sum(axis=0), len(cum) - 1)
+def lower_quantiles(values: np.ndarray, weights: np.ndarray, levels) -> np.ndarray:
+    """Weighted lower quantiles of the particles on axis 0 of 1-D or 2-D `values`.
+
+    Per level in [0, 1] and column, the first value of a stable sort whose
+    running sum of `weights` reaches the level; the last running sum counts
+    as 1, so level 1 gives the largest value.  The result has the shape of
+    `levels` followed by the columns of `values`: a float level on 1-D values
+    gives a float.
+    """
+    order = np.argsort(values, axis=0, kind="stable")
+    cum = weights[order]
+    np.cumsum(cum, axis=0, out=cum)
+    cum[-1] = 1.0
+    levels = np.asarray(levels)
+    first = (cum < levels.reshape(levels.shape + (1,) * cum.ndim)).sum(axis=levels.ndim)
+    cols = (np.arange(values.shape[1]),) if values.ndim == 2 else ()
+    return values[(order[(first, *cols)], *cols)]
 
 
+@dataclass(frozen=True)
 class EolDistribution:
     """Weighted empirical distribution over per-particle end-of-life cycles.
 
     Also serves RUL and any other per-particle value; weights sum to 1.
     """
 
-    def __init__(self, eols: np.ndarray, weights: np.ndarray):
-        order = np.argsort(eols, kind="stable")
-        self.eols = np.asarray(eols, dtype=float)[order]
-        self.weights = np.asarray(weights, dtype=float)[order]
-        self.cum = np.cumsum(self.weights)
-        self.cum[-1] = 1.0
+    eols: np.ndarray
+    weights: np.ndarray
 
     def quantile(self, level: float | np.ndarray) -> float | np.ndarray:
-        """Lower quantile: smallest EOL with cumulative weight >= level.
-
-        A 1-D ndarray of levels gives the array of their quantiles, by the same rule.
-        """
-        if isinstance(level, np.ndarray):  # not np.ndim: it costs the scalar path 2 us
-            return self.eols[_lower_index(self.cum[:, None], level)]
-        return float(self.eols[_lower_index(self.cum, level)])
+        """`lower_quantiles` at `level`, a float or a 1-D array of levels."""
+        return lower_quantiles(self.eols, self.weights, level)
 
 
 def _bands(proj: CapacityProjection) -> np.ndarray:
-    """Per-cycle weighted lower quantiles of the frozen-parameter trajectories, BAND_BLOCK columns at a time.
+    """Per-cycle `lower_quantiles` at BAND_LEVELS of the frozen-parameter trajectories, BAND_BLOCK columns at a time.
 
     Each block's rows are first put in the order of its first column, so the
     stable per-column argsort works on nearly sorted data.  Rows tied in the
@@ -105,14 +111,7 @@ def _bands(proj: CapacityProjection) -> np.ndarray:
     for start in range(0, len(ln_k), BAND_BLOCK):
         traj = fade_q(proj.ln_a[:, None], proj.b[:, None], ln_k[start:start + BAND_BLOCK])
         rows = np.argsort(traj[:, 0], kind="stable")
-        traj = traj[rows]
-        order = np.argsort(traj, axis=0, kind="stable")
-        cum = proj.eol_weights[rows][order]
-        np.cumsum(cum, axis=0, out=cum)
-        cum[-1, :] = 1.0
-        cols = np.arange(traj.shape[1])
-        for band, level in zip(out, BAND_LEVELS):
-            band[start:start + BAND_BLOCK] = traj[order[_lower_index(cum, level), cols], cols]
+        out[:, start:start + BAND_BLOCK] = lower_quantiles(traj[rows], proj.eol_weights[rows], BAND_LEVELS)
     return np.maximum(out, proj.eol_threshold, out=out)
 
 
@@ -126,14 +125,13 @@ def project(
     The horizon is capped at the weighted 99th percentile of the per-particle
     analytic EOLs to bound output size (CellTwinError if that lies more than
     MAX_HORIZON_SPAN cycles past `from_cycle`, or is not finite).
-    The 5/50/95% bands (per-cycle weighted lower quantiles, the rule of
-    `EolDistribution.quantile`) are built only when read.
+    The 5/50/95% bands (per-cycle `lower_quantiles`) are built only when read.
     """
     if from_cycle < ens.last_cycle:
         raise ValueError("cannot project from before the last assimilated cycle")
     ln_a = _LN10 * ens.log10_a
     eols = eol_cycles(ln_a, ens.b, eol_threshold)
-    eol99 = EolDistribution(eols, ens.weights).quantile(0.99)
+    eol99 = lower_quantiles(eols, ens.weights, 0.99)
     if not eol99 - from_cycle <= MAX_HORIZON_SPAN:  # also rejects inf and NaN
         raise CellTwinError(f"cannot project from cycle {from_cycle}: the weighted 99th-percentile EOL {eol99} "
                             f"lies more than {MAX_HORIZON_SPAN} cycles ahead")
@@ -151,9 +149,6 @@ def project(
 
 def rul(proj: CapacityProjection, at_cycle: int) -> RulPrediction:
     """Remaining useful life distribution at `at_cycle`, clamped at zero, with its 5/95% levels."""
-    dist = EolDistribution(np.maximum(proj.per_particle_eol - at_cycle, 0.0), proj.eol_weights)
-    return RulPrediction(
-        at_cycle=at_cycle,
-        rul_median=dist.quantile(0.5),
-        rul_quantiles={lvl: dist.quantile(lvl) for lvl in (0.05, 0.95)},
-    )
+    rul_cycles = np.maximum(proj.per_particle_eol - at_cycle, 0.0)
+    quantiles = dict(zip(BAND_LEVELS, lower_quantiles(rul_cycles, proj.eol_weights, BAND_LEVELS).tolist()))
+    return RulPrediction(at_cycle=at_cycle, rul_median=quantiles.pop(0.5), rul_quantiles=quantiles)

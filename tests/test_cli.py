@@ -154,6 +154,18 @@ class TestCorruptedCellFile:
         assert len(err) == 1 and err[0].startswith("data error:") and cell in err[0]
         assert not (out / "sim").exists()
 
+    @pytest.mark.parametrize("field", [1.5, None, "train_c001"])
+    def test_cell_id_field_not_read(self, tmp_path, field):
+        # a cell is named by its file, so a retyped or foreign cell_id field changes no trace
+        cfg, out = make_config(tmp_path)
+        run("ingest", cfg)
+        path = out / "cells" / "train_c000.json"
+        before = load_traces(load_config(cfg))
+        path.write_text(json.dumps({**json.loads(path.read_text()), "cell_id": field}))
+        after = load_traces(load_config(cfg))
+        assert after["train_c000"][1].to_json_dict() == before["train_c000"][1].to_json_dict()
+        assert run("calibrate", cfg) == 0
+
 
 class TestCalibrate:
     def test_writes_fleet_fit(self, tmp_path, capsys):
@@ -446,10 +458,10 @@ def set_prediction(key, value):
     return edit
 
 
-def set_fit(key, value):
-    """An output edit that sets `key` of fleet_fit.json to `value`."""
+def set_key(name, key, value):
+    """An output edit that sets `key` of the JSON object in the output file `name` to `value`."""
     def edit(out: Path):
-        path = out / "fleet_fit.json"
+        path = out / name
         path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
     return edit
 
@@ -484,7 +496,7 @@ BAD_INPUTS = {
     "init_log10_a_str": (
         "simulate", {"filter": {"n_particles": 150, "init_log10_a": "x"}}, None, None, 2, "init_log10_a"
     ),
-    "fit_b_negative": ("simulate", {}, None, set_fit("median_b", -5.0), 3, "fleet_fit.json"),
+    "fit_b_negative": ("simulate", {}, None, set_key("fleet_fit.json", "median_b", -5.0), 3, "fleet_fit.json"),
     "horizon_unbounded": (
         "simulate", {"filter": {"n_particles": 150, "init_b": 0.3}, "schedule": {"cycles": [1]}},
         None, unlink_fit, 4, "cycle 1",
@@ -532,6 +544,12 @@ BAD_INPUTS = {
     "cycle_zero": ("ingest", {}, ("train_c000", first_cycle(0)), None, 3, "train_c000"),
     "fit_truncated": (
         "simulate", {}, None, lambda out: cut_to(out / "fleet_fit.json", 40), 3, "fleet_fit.json"
+    ),
+    "extrapolated_from_str": (
+        "calibrate", {}, None, set_key("cells/train_c000.json", "extrapolated_from", "x"), 3, "train_c000.json"
+    ),
+    "extrapolated_from_float": (
+        "calibrate", {}, None, set_key("cells/train_c000.json", "extrapolated_from", 1.5), 3, "train_c000.json"
     ),
     "weight_str": ("retire", {"utilities": [{**SPEC, "weight": "x"}]}, None, None, 2, "weight"),
     "weight_0": ("retire", {"utilities": [{**SPEC, "weight": 0}]}, None, None, 2, "weight"),
@@ -697,16 +715,29 @@ def simulated_fleet(tmp_path_factory):
 
 # the earlier outputs a mutation picks from, as globs under the output directory
 EARLIER_OUTPUTS = ["manifest.json", "fleet_fit.json", "cells/*.json", "sim/*/predictions.json", "sim/*/eol_*.csv"]
+# one value of each JSON type a retyped leaf takes
+RETYPED = ["x", 1.5, [1], None, True]
+
+
+def retype_leaf(doc, data):
+    """`doc` with one leaf, reached by one drawn key or index per level, set to a drawn RETYPED value."""
+    holder = doc
+    while True:
+        key = data.draw(st.sampled_from(sorted(holder) if isinstance(holder, dict) else range(len(holder))))
+        if not isinstance(holder[key], (dict, list)) or not holder[key]:
+            holder[key] = data.draw(st.sampled_from(RETYPED), label="value")
+            return doc
+        holder = holder[key]
 
 
 class TestEarlierOutputsProperty:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_outputs_or_one_error_line(self, simulated_fleet, tmp_path_factory, data):
-        """One earlier output truncated, emptied or deleted, or an extra directory under `sim/`, ends
-        `simulate`, `evaluate` or `retire` in exit 0, 2, 3 or 4 with no warning; a non-zero exit prints
-        one prefixed stderr line; after `simulate` every untouched `sim/<cell>/` holds exactly its
-        predictions' files."""
+        """One earlier output truncated, emptied or deleted, one leaf of a JSON output retyped, or an extra
+        directory under `sim/`, ends `calibrate`, `simulate`, `evaluate` or `retire` in exit 0, 2, 3 or 4
+        with no warning; a non-zero exit prints one prefixed stderr line; after `simulate` every untouched
+        `sim/<cell>/` holds exactly its predictions' files."""
         cfg, prepared = simulated_fleet
         out = tmp_path_factory.mktemp("outputs") / "out"
         shutil.copytree(prepared, out)
@@ -720,13 +751,16 @@ class TestEarlierOutputsProperty:
             pattern = data.draw(st.sampled_from(EARLIER_OUTPUTS))
             path = data.draw(st.sampled_from(sorted(out.glob(pattern))), label="path")
             text = path.read_text()
-            edit = data.draw(st.sampled_from(["truncate", "empty", "delete"]))
+            edits = ["truncate", "empty", "delete"] + (["retype"] if path.suffix == ".json" else [])
+            edit = data.draw(st.sampled_from(edits))
             if edit == "delete":
                 path.unlink()
+            elif edit == "retype":
+                path.write_text(json.dumps(retype_leaf(json.loads(text), data)))
             else:
                 path.write_text(text[:data.draw(st.integers(1, len(text) - 1))] if edit == "truncate" else "")
             touched = path.parent if path.parent.parent.name == "sim" else None
-        command = data.draw(st.sampled_from(["simulate", "evaluate", "retire"]))
+        command = data.draw(st.sampled_from(["calibrate", "simulate", "evaluate", "retire"]))
         cell = ["--cell", data.draw(st.sampled_from(ids))] if command == "retire" else []
         err = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):

@@ -10,10 +10,69 @@ from cell_twin import FilterConfig, NoiseSpec, assimilate, init, project, rul
 from cell_twin.errors import CellTwinError
 from cell_twin.filtering import ParticleEnsemble
 from cell_twin.model import _LN10, eol_cycles, fade_q
-from cell_twin.prognosis import BAND_BLOCK, MAX_HORIZON_SPAN, EolDistribution
+from cell_twin.prognosis import BAND_BLOCK, BAND_LEVELS, MAX_HORIZON_SPAN, EolDistribution, lower_quantiles
 from conftest import power_law_trace
 
 finite_values = st.one_of(st.integers(-5, 5).map(float), st.floats(-1e6, 1e6))
+
+
+def reference_lower_index(cum: np.ndarray, level: float):
+    """First row, per column of cumulative weights `cum` (last row 1), to reach `level`."""
+    return np.minimum((cum < level).sum(axis=0), len(cum) - 1)
+
+
+class ReferenceEolDistribution:
+    """Reference for `lower_quantiles` on one column: one stable sort and one running sum per distribution."""
+
+    def __init__(self, eols: np.ndarray, weights: np.ndarray):
+        order = np.argsort(eols, kind="stable")
+        self.eols = np.asarray(eols, dtype=float)[order]
+        self.cum = np.cumsum(np.asarray(weights, dtype=float)[order])
+        self.cum[-1] = 1.0
+
+    def quantile(self, level):
+        if isinstance(level, np.ndarray):
+            return self.eols[reference_lower_index(self.cum[:, None], level)]
+        return float(self.eols[reference_lower_index(self.cum, level)])
+
+
+def reference_bands(proj) -> np.ndarray:
+    """Reference for the bands: per BAND_BLOCK columns, rows in first-column order, then their own
+    stable sort, running sums and selection per level."""
+    ln_k = np.log(proj.cycles)
+    out = np.empty((len(BAND_LEVELS), len(ln_k)))
+    for start in range(0, len(ln_k), BAND_BLOCK):
+        traj = fade_q(proj.ln_a[:, None], proj.b[:, None], ln_k[start:start + BAND_BLOCK])
+        rows = np.argsort(traj[:, 0], kind="stable")
+        traj = traj[rows]
+        order = np.argsort(traj, axis=0, kind="stable")
+        cum = proj.eol_weights[rows][order]
+        np.cumsum(cum, axis=0, out=cum)
+        cum[-1, :] = 1.0
+        cols = np.arange(traj.shape[1])
+        for band, level in zip(out, BAND_LEVELS):
+            band[start:start + BAND_BLOCK] = traj[order[reference_lower_index(cum, level), cols], cols]
+    return np.maximum(out, proj.eol_threshold, out=out)
+
+
+@st.composite
+def pool_picks(draw, pool_size: int):
+    """(picks, weights): up to 31 particles drawn by index from a pool of `pool_size`, so some are
+    identical (as after a resample), with uneven weights, or with integer counts over a power-of-two
+    total, so that every running sum is exact and a level can sit on a step."""
+    picks = draw(st.lists(st.integers(0, pool_size - 1), min_size=1, max_size=30))
+    counts = draw(st.lists(st.integers(1, 10), min_size=len(picks), max_size=len(picks)))
+    if draw(st.booleans(), label="power-of-two total"):
+        total = 1 << sum(counts).bit_length()
+        return picks + [draw(st.integers(0, pool_size - 1))], np.array(counts + [total - sum(counts)]) / total
+    return picks, np.array(counts) / sum(counts)
+
+
+# levels 0 and 1, any level, and multiples of 1/64, which sit on a step of some power-of-two totals
+levels_lists = st.lists(
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0), st.integers(0, 64).map(lambda k: k / 64)),
+    min_size=1, max_size=6,
+)
 
 
 def make_ensemble(log10_as, bs, weights=None, last_cycle=0):
@@ -71,6 +130,25 @@ class TestWeightedQuantile:
         assert got == expect
 
     @given(
+        st.integers(0, 4),
+        st.lists(st.lists(finite_values, min_size=4, max_size=4), min_size=4, max_size=4),
+        pool_picks(4),
+        levels_lists,
+    )
+    def test_kernel_equals_reference(self, columns, pool, picks_weights, levels):
+        # columns 0 gives 1-D values; each column is checked against its own reference distribution
+        picks, weights = picks_weights
+        values = np.array([pool[i][:columns] if columns else pool[i][0] for i in picks])
+        got = lower_quantiles(values, weights, np.array(levels))
+        assert got.shape == (len(levels), *values.shape[1:])
+        if columns:
+            want = np.array([ReferenceEolDistribution(col, weights).quantile(np.array(levels)) for col in values.T]).T
+        else:
+            want = ReferenceEolDistribution(values, weights).quantile(np.array(levels))
+            assert np.array([lower_quantiles(values, weights, lvl) for lvl in levels]).tobytes() == want.tobytes()
+        assert got.tobytes() == want.tobytes()
+
+    @given(
         st.lists(st.tuples(finite_values, st.floats(0.0, 1.0)), min_size=1, max_size=30).filter(
             lambda pairs: sum(w for _, w in pairs) > 0
         ),
@@ -112,20 +190,19 @@ class TestProject:
 
     @settings(deadline=None)
     @given(
-        st.lists(st.tuples(st.integers(0, 3), st.integers(1, 10)), min_size=1, max_size=8),
+        pool_picks(4),
         st.lists(st.tuples(st.floats(-16.2, -15.3), st.floats(5.0, 6.0)), min_size=4, max_size=4),
         st.integers(1, 1500),
     )
-    def test_bands_equal_column_quantiles(self, picks, pool, from_cycle):
-        # particles drawn from a pool of 4, so some are tied; weights uneven;
-        # early starts give horizons of up to ~20 band blocks
-        counts = np.array([c for _, c in picks], dtype=float)
-        ens = make_ensemble(
-            [pool[i][0] for i, _ in picks], [pool[i][1] for i, _ in picks], counts / counts.sum(), from_cycle
-        )
+    def test_bands_equal_column_quantiles(self, picks_weights, pool, from_cycle):
+        # particles drawn from a pool of 4, so some are tied; early starts give
+        # horizons of up to ~20 band blocks
+        picks, weights = picks_weights
+        ens = make_ensemble([pool[i][0] for i in picks], [pool[i][1] for i in picks], weights, from_cycle)
         proj = project(ens, from_cycle, 0.5)
+        assert proj.bands.tobytes() == reference_bands(proj).tobytes()
         traj = fade_q(_LN10 * ens.log10_a[:, None], ens.b[:, None], np.log(proj.cycles))
-        dists = [EolDistribution(col, ens.weights) for col in traj.T]
+        dists = [ReferenceEolDistribution(col, ens.weights) for col in traj.T]
         for band, level in [(proj.q05, 0.05), (proj.median_q, 0.5), (proj.q95, 0.95)]:
             assert band.tolist() == [max(d.quantile(level), 0.5) for d in dists]
         assert np.all(proj.q05 <= proj.median_q) and np.all(proj.median_q <= proj.q95)

@@ -100,18 +100,18 @@ class EolDistribution:
 def _bands(proj: CapacityProjection) -> np.ndarray:
     """Per-cycle `lower_quantiles` at BAND_LEVELS of the frozen-parameter trajectories, BAND_BLOCK columns at a time.
 
-    Each block's rows are first put in the order of its first column, so the
-    stable per-column argsort works on nearly sorted data.  Rows tied in the
-    first column keep their particle order, so identical particles (as after
-    a resample) add their weights in the order a stable sort of each whole
-    column would, and the bands are bitwise those of that sort.
+    Each block is built with its particles in the order of its first column,
+    so the stable per-column argsort works on nearly sorted data.  Particles
+    tied in the first column keep their order, so identical particles (as
+    after a resample) add their weights in the order a stable sort of each
+    whole column would, and the bands are bitwise those of that sort.
     """
     ln_k = np.log(proj.cycles)
     out = np.empty((len(BAND_LEVELS), len(ln_k)))
     for start in range(0, len(ln_k), BAND_BLOCK):
-        traj = fade_q(proj.ln_a[:, None], proj.b[:, None], ln_k[start:start + BAND_BLOCK])
-        rows = np.argsort(traj[:, 0], kind="stable")
-        out[:, start:start + BAND_BLOCK] = lower_quantiles(traj[rows], proj.eol_weights[rows], BAND_LEVELS)
+        rows = np.argsort(fade_q(proj.ln_a, proj.b, ln_k[start]), kind="stable")
+        traj = fade_q(proj.ln_a[rows, None], proj.b[rows, None], ln_k[start:start + BAND_BLOCK])
+        out[:, start:start + BAND_BLOCK] = lower_quantiles(traj, proj.eol_weights[rows], BAND_LEVELS)
     return np.maximum(out, proj.eol_threshold, out=out)
 
 

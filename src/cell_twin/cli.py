@@ -45,12 +45,6 @@ class RunConfig:
     eol: float
     retire_floor: float
     schedule_stride: int
-    schedule_cycles: list[int] | None
-    normalize_window: int
-    extend_tail: int
-    extend_floor: float
-    trigger_persist: int
-    discharge_rate_c: float
 
 
 def _known(block, prefix: str, keys: set[str]) -> dict:
@@ -73,8 +67,7 @@ def load_config(path, out_override: str | None = None) -> RunConfig:
 
     try:
         # `workers` is accepted and ignored: perfbench's FleetBatch still writes it
-        _known(raw, "", {"dataset", "output_dir", "seed", "filter", "utilities", "thresholds", "schedule", "extend",
-                         "normalize_window", "trigger_persist", "discharge_rate_c", "workers"})
+        _known(raw, "", {"dataset", "output_dir", "seed", "filter", "utilities", "thresholds", "schedule", "workers"})
         seed = checked("seed", raw.get("seed", 0), 0, integer=True)
         sigmas = {f.name for f in fields(NoiseSpec)}  # the filter block holds FilterConfig's fields and the sigmas
         fkeys = {f.name for f in fields(filtering.FilterConfig)} - {"noise", "seed"}
@@ -82,11 +75,9 @@ def load_config(path, out_override: str | None = None) -> RunConfig:
         noise = NoiseSpec(**{k: v for k, v in fraw.items() if k in sigmas})
         fcfg = filtering.FilterConfig(noise=noise, seed=seed, **{k: v for k, v in fraw.items() if k not in sigmas})
         th = _known(raw.get("thresholds", {}), "thresholds.", {"trigger", "eol", "retire_floor"})
-        sched = _known(raw.get("schedule", {}), "schedule.", {"stride", "cycles"})
-        ext = _known(raw.get("extend", {}), "extend.", {"tail", "floor"})
-        for name, value in (("utilities", raw.get("utilities", [])), ("schedule.cycles", sched.get("cycles", []))):
-            if not isinstance(value, list):
-                raise ConfigError(f"{name} must be a list, got {value!r}")
+        sched = _known(raw.get("schedule", {}), "schedule.", {"stride"})
+        if not isinstance(raw.get("utilities", []), list):
+            raise ConfigError(f"utilities must be a list, got {raw['utilities']!r}")
         specs = []
         for i, u in enumerate(raw.get("utilities", [])):
             _known(u, f"utilities[{i}].", {"name", "extractor", "l_u", "h_u", "r", "weight"})
@@ -105,9 +96,6 @@ def load_config(path, out_override: str | None = None) -> RunConfig:
             raise ConfigError(f"utility names must be distinct strings without , \" or line breaks in header {header}")
         if not specs:
             specs = utility.default_attribute_specs()
-        cycles = sched.get("cycles")
-        if cycles is not None:
-            cycles = [checked("schedule.cycles", k, 1, integer=True) for k in cycles]
         cfg = RunConfig(
             dataset=Path(raw["dataset"]),
             output_dir=Path(out_override or raw.get("output_dir", "out")),
@@ -117,18 +105,10 @@ def load_config(path, out_override: str | None = None) -> RunConfig:
             eol=checked("thresholds.eol", th.get("eol", 0.5), 0, 1),
             retire_floor=checked("thresholds.retire_floor", th.get("retire_floor", 0.5), 0, 1),
             schedule_stride=checked("schedule.stride", sched.get("stride", 100), 1, integer=True),
-            schedule_cycles=cycles,
-            normalize_window=checked("normalize_window", raw.get("normalize_window", 100), 1, integer=True),
-            extend_tail=checked("extend.tail", ext.get("tail", 30), 2, integer=True),  # a line needs 2 points
-            extend_floor=checked("extend.floor", ext.get("floor", 0.5), 0, 1),
-            trigger_persist=checked("trigger_persist", raw.get("trigger_persist", 1), 1, integer=True),
-            discharge_rate_c=checked("discharge_rate_c", raw.get("discharge_rate_c", 4.0), 0),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"invalid config {path}: {e}") from None
 
-    if cfg.schedule_cycles is not None and np.any(np.diff(cfg.schedule_cycles) <= 0):
-        raise ConfigError("schedule cycles must be strictly increasing")
     if not cfg.dataset.exists():
         raise ConfigError(f"dataset file not found: {cfg.dataset}")
     return cfg
@@ -179,12 +159,12 @@ def cell_seed(base_seed: int, cell_id: str) -> int:
 # --- preprocessing shared by commands ---
 
 def decoded(path: Path, decode):
-    """`decode(text of path)`; a file that is missing or does not decode is a DataError naming it."""
+    """`decode(text of path)`; a file that is missing, does not decode or fails `decode`'s checks is a DataError."""
     try:
         return decode(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise DataError(f"{path}: missing") from None
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError, DataError) as e:  # JSONDecodeError is a ValueError
         raise DataError(f"{path}: corrupted ({type(e).__name__}: {e})") from None
 
 
@@ -216,9 +196,7 @@ def with_fleet_fit(cfg: RunConfig) -> RunConfig:
 
 
 def prediction_schedule(cfg: RunConfig, trace: dataset.NormalizedTrace) -> list[int]:
-    if cfg.schedule_cycles is not None:
-        return [k for k in cfg.schedule_cycles if k <= trace.cycles[-1]]
-    start = dataset.trigger_cycle(trace, cfg.trigger, cfg.trigger_persist)
+    start = dataset.trigger_cycle(trace, cfg.trigger)
     if start is None:
         return []
     return list(range(start, int(trace.cycles[-1]) + 1, cfg.schedule_stride))
@@ -228,8 +206,7 @@ def prediction_schedule(cfg: RunConfig, trace: dataset.NormalizedTrace) -> list[
 
 def cmd_ingest(cfg: RunConfig) -> int:
     cells = dataset.load_cells(cfg.dataset)
-    traces = [dataset.normalize(cell, cfg.normalize_window) for cell in cells]
-    traces = [dataset.extend_linear(t, cfg.extend_tail, cfg.extend_floor) for t in traces]
+    traces = [dataset.extend_linear(dataset.normalize(cell)) for cell in cells]
     cell_files = {f"{c.cell_id}.json": json.dumps(t.to_json_dict()) for c, t in zip(cells, traces)}
     write_dir(cfg.output_dir, "cells", cell_files)
     split_map = {c.cell_id: c.split.value for c in cells}
@@ -300,7 +277,7 @@ def cmd_retire(cfg: RunConfig, cell_id: str, current: int | None) -> int:
         raise DataError(f"unknown cell id {cell_id!r}")
     trace = traces[cell_id][1]
     if current is None:
-        current = dataset.trigger_cycle(trace, cfg.trigger, cfg.trigger_persist)
+        current = dataset.trigger_cycle(trace, cfg.trigger)
         if current is None:
             raise CellTwinError(f"{cell_id}: capacity never reached trigger {cfg.trigger}")
     cfg = with_fleet_fit(cfg)
@@ -315,7 +292,6 @@ def cmd_retire(cfg: RunConfig, cell_id: str, current: int | None) -> int:
         trigger_threshold=cfg.trigger,
         retire_floor=cfg.retire_floor,
         eol_threshold=cfg.eol,
-        discharge_rate_c=cfg.discharge_rate_c,
     )
     write_dir(cfg.output_dir / "retire", cell_id, {
         "utility_curve.csv": {

@@ -29,6 +29,19 @@ def checked_name(name: str) -> str:
     return name
 
 
+def checked_cycles(cell_id: str, cycles) -> np.ndarray:
+    """`cycles` as an array if they are integers, strictly increasing and starting at >= 1; else DataError.
+    numpy reads `true` in a list as 1, so a list (as JSON decodes one) is checked item by item."""
+    arr = np.asarray(cycles)
+    if arr.ndim != 1 or arr.dtype.kind != "i" or isinstance(cycles, list) and any(type(k) is not int for k in cycles):
+        raise DataError(f"{cell_id}: cycles must be one list of integers")
+    if np.any(np.diff(arr) <= 0):
+        raise DataError(f"{cell_id}: cycles not strictly increasing")
+    if len(arr) and arr[0] < 1:
+        raise DataError(f"{cell_id}: cycle {arr[0]} < 1; cycles start at 1")
+    return arr
+
+
 class Split(enum.Enum):
     TRAIN = "train"
     PRIMARY_TEST = "test1"
@@ -46,14 +59,10 @@ class CellRecord:
 
     def __post_init__(self):
         checked_name(self.cell_id)
-        cycles = np.asarray(self.cycles, dtype=int)
         caps = np.asarray(self.capacity_ah, dtype=float)
-        if len(cycles) == 0 or len(cycles) != len(caps):
+        if len(self.cycles) == 0 or len(self.cycles) != len(caps):
             raise ValueError(f"{self.cell_id}: cycles/capacity length mismatch or empty")
-        if np.any(np.diff(cycles) <= 0):
-            raise DataError(f"{self.cell_id}: cycles not strictly increasing")
-        if cycles[0] < 1:
-            raise DataError(f"{self.cell_id}: cycle {cycles[0]} < 1; cycles start at 1")
+        cycles = checked_cycles(self.cell_id, self.cycles)
         if not np.all(np.isfinite(caps) & (caps > 0)):
             raise DataError(f"{self.cell_id}: capacity must be finite and positive")
         object.__setattr__(self, "cycles", cycles)
@@ -71,12 +80,11 @@ class NormalizedTrace:
     extrapolated_from: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "cycles", np.asarray(self.cycles, dtype=int))
+        object.__setattr__(self, "cycles", checked_cycles(self.cell_id, self.cycles))
         object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
         if len(self.q) != len(self.cycles) or not np.all(np.isfinite(self.q)):
             raise DataError(f"{self.cell_id}: need one finite normalized capacity per cycle")
-        if self.q0_ah <= 0:
-            raise DataError(f"{self.cell_id}: q0_ah must be positive")
+        checked(f"{self.cell_id}: q0_ah", self.q0_ah, 0)
         if np.max(self.q) > 1.15:
             raise DataError(f"{self.cell_id}: normalized capacity exceeds sanity bound 1.15")
         if self.extrapolated_from is not None:
@@ -100,13 +108,7 @@ class NormalizedTrace:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "NormalizedTrace":
-        return cls(
-            cell_id=d["cell_id"],
-            cycles=np.asarray(d["cycles"], dtype=int),
-            q=np.asarray(d["q"], dtype=float),
-            q0_ah=float(d["q0_ah"]),
-            extrapolated_from=d["extrapolated_from"],
-        )
+        return cls(d["cell_id"], d["cycles"], d["q"], d["q0_ah"], d["extrapolated_from"])
 
 
 def load_cells(path) -> list[CellRecord]:
@@ -217,14 +219,7 @@ def extend_linear(trace: NormalizedTrace, tail: int = 30, floor: float = 0.5) ->
     )
 
 
-def trigger_cycle(trace: NormalizedTrace, threshold: float = 0.95, persist: int = 1) -> int | None:
-    """First cycle where q <= threshold, or None if never crossed.
-
-    `persist` > 1 requires that many consecutive sub-threshold points and
-    returns the first cycle of the run.
-    """
-    persist = max(persist, 1)
-    count = np.concatenate([[0], np.cumsum(trace.q <= threshold)])
-    # the window of points i .. i + persist - 1 is a run if all of them are below
-    starts = np.flatnonzero(count[persist:] - count[:-persist] == persist)
-    return int(trace.cycles[starts[0]]) if len(starts) else None
+def trigger_cycle(trace: NormalizedTrace, threshold: float = 0.95) -> int | None:
+    """First cycle where q <= threshold, or None if never crossed."""
+    below = np.flatnonzero(trace.q <= threshold)
+    return int(trace.cycles[below[0]]) if len(below) else None

@@ -111,10 +111,6 @@ class TestIngest:
         cfg, _ = make_config(tmp_path, out_name="badth", thresholds={"trigger": 1.5})
         assert run("ingest", cfg) == 2
 
-    def test_non_integer_persist_config_error(self, tmp_path):
-        cfg, _ = make_config(tmp_path, out_name="badpersist", trigger_persist=2.5)
-        assert run("ingest", cfg) == 2
-
     def test_unknown_keys_named_sorted(self, tmp_path, capsys):
         cfg, _ = make_config(tmp_path, zeta=1, alpha=2)
         assert run("ingest", cfg) == 2
@@ -316,7 +312,7 @@ class TestRetire:
         ens = filtering.assimilate(filtering.init(fcfg), trace, dec["current_cycle"], fcfg.noise)
         proj = project(ens, dec["current_cycle"], eol_threshold=loaded.eol)
         (cycles, combined, phi, raw), best = reference_scan(
-            trace, proj, loaded.utilities, dec["current_cycle"], loaded.retire_floor, loaded.discharge_rate_c
+            trace, proj, loaded.utilities, dec["current_cycle"], loaded.retire_floor, 4.0  # retire scores MTBC at 4C
         )
         columns = [cycles, combined, *phi.values(), *raw.values()]
         assert curve[1:] == [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
@@ -482,23 +478,48 @@ def delete(pattern: str):
     return lambda out: sorted(out.glob(pattern))[0].unlink()
 
 
+def set_cycles(edit):
+    """An output edit that sets the cycles of cells/train_c000.json to `edit(cycles)`."""
+    def apply(out: Path):
+        path = out / "cells" / "train_c000.json"
+        cell = json.loads(path.read_text())
+        path.write_text(json.dumps({**cell, "cycles": edit(cell["cycles"])}))
+    return apply
+
+
+# every cell of make_config's fleet has q(1) in [0.978, 0.987], so this trigger starts its predictions at cycle 1
+FROM_CYCLE_1 = {"thresholds": {"trigger": 0.99}}
+
+
 def wide_prior(init_b: float) -> dict:
     """Config overrides that project a 200-particle prior around `init_b` from cycle 1."""
-    return {"filter": {"n_particles": 200, "init_b": init_b, "init_spread_b": 0.05}, "schedule": {"cycles": [1]}}
+    return {"filter": {"n_particles": 200, "init_b": init_b, "init_spread_b": 0.05}, **FROM_CYCLE_1}
 
 
 # (command, config overrides, dataset edit, edit of earlier outputs, exit code, stderr must name)
 BAD_INPUTS = {
     "stride_0": ("simulate", {"schedule": {"stride": 0}}, None, None, 2, "schedule.stride"),
-    "window_0": ("ingest", {"normalize_window": 0}, None, None, 2, "normalize_window"),
-    "discharge_rate_0": ("retire", {"discharge_rate_c": 0}, None, None, 2, "discharge_rate_c"),
+    # fixed settings, not config keys, each at its fixed value (window 100, 30-point tail to 0.5, first crossing,
+    # 4C); `schedule.cycles` (predict at listed cycles) has no such value, so it takes a valid list
+    "key_normalize_window": (
+        "ingest", {"normalize_window": 100}, None, None, 2, "unknown config keys: normalize_window"
+    ),
+    "key_trigger_persist": ("ingest", {"trigger_persist": 1}, None, None, 2, "unknown config keys: trigger_persist"),
+    "key_discharge_rate_c": (
+        "ingest", {"discharge_rate_c": 4.0}, None, None, 2, "unknown config keys: discharge_rate_c"
+    ),
+    "key_extend_tail": ("ingest", {"extend": {"tail": 30}}, None, None, 2, "unknown config keys: extend"),
+    "key_extend_floor": ("ingest", {"extend": {"floor": 0.5}}, None, None, 2, "unknown config keys: extend"),
+    "key_schedule_cycles": (
+        "ingest", {"schedule": {"cycles": [100, 200]}}, None, None, 2, "unknown config keys: schedule.cycles"
+    ),
     "init_b_negative": ("simulate", {"filter": {"n_particles": 150, "init_b": -5}}, None, None, 2, "init_b"),
     "init_log10_a_str": (
         "simulate", {"filter": {"n_particles": 150, "init_log10_a": "x"}}, None, None, 2, "init_log10_a"
     ),
     "fit_b_negative": ("simulate", {}, None, set_key("fleet_fit.json", "median_b", -5.0), 3, "fleet_fit.json"),
     "horizon_unbounded": (
-        "simulate", {"filter": {"n_particles": 150, "init_b": 0.3}, "schedule": {"cycles": [1]}},
+        "simulate", {"filter": {"n_particles": 150, "init_b": 0.3}, **FROM_CYCLE_1},
         None, unlink_fit, 4, "cycle 1",
     ),
     "horizon_3e17": ("simulate", wide_prior(1.0), None, unlink_fit, 4, "cycle 1"),
@@ -507,14 +528,14 @@ BAD_INPUTS = {
     "key_split_manifest": ("ingest", {"split_manifest": "splits.csv"}, None, None, 2, "split_manifest"),
     "key_thresholds_eoll": ("ingest", {"thresholds": {"eoll": 0.8}}, None, None, 2, "thresholds.eoll"),
     "key_schedule_strides": ("simulate", {"schedule": {"strides": 50}}, None, None, 2, "schedule.strides"),
-    "key_extend_tails": ("ingest", {"extend": {"tails": 20}}, None, None, 2, "extend.tails"),
+    "key_extend_tails": ("ingest", {"extend": {"tails": 20}}, None, None, 2, "unknown config keys: extend"),
     "key_utility_risk": (
         "retire", {"utilities": [{**SPEC, "weight": 1.0, "risk": 5.0}]}, None, None, 2, "utilities[0].risk"
     ),
     "thresholds_list": ("ingest", {"thresholds": ["eol"]}, None, None, 2, "thresholds must be an object"),
     "filter_pairs": ("ingest", {"filter": [["n_particles", 100]]}, None, None, 2, "filter must be an object"),
     "utilities_object": ("ingest", {"utilities": {}}, None, None, 2, "utilities must be a list"),
-    "cycles_object": ("ingest", {"schedule": {"cycles": {}}}, None, None, 2, "schedule.cycles must be a list"),
+    "cycles_object": ("ingest", {"schedule": {"cycles": {}}}, None, None, 2, "unknown config keys: schedule.cycles"),
     "sigma_meas_nan": ("ingest", {"filter": {"sigma_meas": float("nan")}}, None, None, 2, "filter.sigma_meas"),
     "sigma_b_inf": ("ingest", {"filter": {"sigma_b": float("inf")}}, None, None, 2, "filter.sigma_b"),
     "sigma_meas_true": ("ingest", {"filter": {"sigma_meas": True}}, None, None, 2, "filter.sigma_meas"),
@@ -537,7 +558,9 @@ BAD_INPUTS = {
     "sigma_log_a_1e308": (
         "simulate", {"filter": {"n_particles": 150, "sigma_log_a": 1e308}}, None, None, 4, "vanished"
     ),
-    "cycles_float": ("simulate", {"schedule": {"cycles": [100.5, 200]}}, None, None, 2, "schedule.cycles"),
+    "cycles_float": (
+        "simulate", {"schedule": {"cycles": [100.5, 200]}}, None, None, 2, "unknown config keys: schedule.cycles"
+    ),
     "q_above_bound": ("ingest", {}, ("train_c000", scale_late_row), None, 3, "train_c000"),
     "cell_too_short": ("ingest", {}, ("train_c001", lambda rows: rows[:20]), None, 3, "train_c001"),
     "cycle_negative": ("ingest", {}, ("train_c000", first_cycle(-1)), None, 3, "train_c000"),
@@ -551,6 +574,13 @@ BAD_INPUTS = {
     "extrapolated_from_float": (
         "calibrate", {}, None, set_key("cells/train_c000.json", "extrapolated_from", 1.5), 3, "train_c000.json"
     ),
+    # a cells/<id>.json cycle must be a JSON integer: numpy would read 1.5 as 1 and a leading true as 1
+    "cells_cycle_float": ("calibrate", {}, None, set_cycles(lambda ks: [ks[0], 1.5, *ks[2:]]), 3, "train_c000.json"),
+    "cells_cycle_true": ("calibrate", {}, None, set_cycles(lambda ks: [True, *ks[1:]]), 3, "train_c000.json"),
+    "cells_cycles_swapped": (
+        "calibrate", {}, None, set_cycles(lambda ks: [ks[0], ks[2], ks[1], *ks[3:]]), 3, "train_c000.json"
+    ),
+    "cells_q0_ah_true": ("calibrate", {}, None, set_key("cells/train_c000.json", "q0_ah", True), 3, "train_c000.json"),
     "weight_str": ("retire", {"utilities": [{**SPEC, "weight": "x"}]}, None, None, 2, "weight"),
     "weight_0": ("retire", {"utilities": [{**SPEC, "weight": 0}]}, None, None, 2, "weight"),
     "utility_r_tiny": ("ingest", {"utilities": [{**SPEC, "r": 0.1, "weight": 1.0}]}, None, None, 2, "l_u"),
@@ -649,7 +679,7 @@ def small_fleet_rows(tmp_path_factory):
     return header, rows
 
 
-CSV_TAIL = 30  # the `extend.tail` the property test ingests with
+CSV_TAIL = 30  # the tail `dataset.extend_linear` fits when `ingest` runs it
 
 
 @st.composite
@@ -686,7 +716,7 @@ class TestIngestCsvProperty:
         header, rows = small_fleet_rows
         root = tmp_path_factory.mktemp("ingest")
         (root / "fleet.csv").write_text("\n".join([header, *data.draw(mutated_rows(rows))]) + "\n")
-        cfg = {"dataset": str(root / "fleet.csv"), "output_dir": str(root / "out"), "extend": {"tail": CSV_TAIL}}
+        cfg = {"dataset": str(root / "fleet.csv"), "output_dir": str(root / "out")}
         (root / "config.json").write_text(json.dumps(cfg))
         for command, codes in (("ingest", (0, 2, 3)), ("calibrate", (0, 3))):
             err = io.StringIO()
@@ -787,11 +817,7 @@ FULL_CONFIG = {
     },
     "utilities": [{**SPEC, "weight": 1.0}],
     "thresholds": {"trigger": 0.95, "eol": 0.5, "retire_floor": 0.5},
-    "schedule": {"stride": 150, "cycles": [100, 200]},
-    "extend": {"tail": 30, "floor": 0.5},
-    "normalize_window": 100,
-    "trigger_persist": 1,
-    "discharge_rate_c": 4.0,
+    "schedule": {"stride": 150},
 }
 # another JSON type, NaN, +-inf, 0, a negative value, 1e308 or a bool
 ODD_VALUES = ["x", None, [], {}, math.nan, math.inf, -math.inf, 0, -1.5, 1e308, True, False]
@@ -843,6 +869,12 @@ def empty_dataset(tmp_path_factory):
 
 
 class TestLoadConfigProperty:
+    def test_full_config_loads(self, empty_dataset):
+        """The base every edit starts from is valid; else every example would end in a ConfigError and check nothing."""
+        path = empty_dataset.parent / "full_config.json"
+        path.write_text(json.dumps({**FULL_CONFIG, "dataset": str(empty_dataset)}))
+        assert isinstance(load_config(path), RunConfig)
+
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
     def test_run_config_or_config_error(self, empty_dataset, data):

@@ -29,13 +29,11 @@ def loop_extension(trace, tail, floor, max_points):
     return None
 
 
-def scan_trigger_cycle(trace, threshold, persist):
-    """Reference: count the current run of sub-threshold points point by point."""
-    run = 0
-    for i, q in enumerate(trace.q):
-        run = run + 1 if q <= threshold else 0
-        if run >= max(persist, 1):
-            return int(trace.cycles[i - max(persist, 1) + 1])
+def scan_trigger_cycle(trace, threshold):
+    """Reference: walk the points in order to the first one at or below the threshold."""
+    for k, q in zip(trace.cycles, trace.q):
+        if q <= threshold:
+            return int(k)
     return None
 
 
@@ -231,22 +229,16 @@ class TestTriggerCycle:
         expect = int(np.flatnonzero(qs <= 0.95)[0]) + 1
         assert trigger_cycle(tr, 0.95) == expect == 3
 
-    def test_persist_requires_consecutive(self):
-        qs = np.array([1.0, 0.96, 0.949, 0.96, 0.94, 0.93])
-        tr = NormalizedTrace("c", np.arange(1, 7), qs, 1.1)
-        assert trigger_cycle(tr, 0.95, persist=2) == 5
-
     def test_extreme_thresholds(self):
         tr = NormalizedTrace("c", np.arange(1, 5), np.array([1.0, 0.9, 0.8, 0.7]), 1.1)
         assert trigger_cycle(tr, 1.0 + 1e-9) == 1
         assert trigger_cycle(tr, 0.0) is None
 
-    @given(st.lists(st.tuples(st.integers(1, 3), st.sampled_from([0.9, 0.95, 1.0])), min_size=1, max_size=30), st.data())
-    def test_equals_run_scan(self, points, data):
+    @given(st.lists(st.tuples(st.integers(1, 3), st.sampled_from([0.9, 0.95, 1.0])), min_size=1, max_size=30))
+    def test_equals_run_scan(self, points):
         ks = np.cumsum([gap for gap, _ in points])
         tr = NormalizedTrace("c", ks, [q for _, q in points], 1.1)
-        persist = data.draw(st.integers(0, len(points) + 2))
-        assert trigger_cycle(tr, 0.95, persist) == scan_trigger_cycle(tr, 0.95, persist)
+        assert trigger_cycle(tr, 0.95) == scan_trigger_cycle(tr, 0.95)
 
 
 class TestJsonRoundTrip:

@@ -46,17 +46,6 @@ class FleetFit:
             }
         )
 
-    @classmethod
-    def from_json(cls, s: str) -> "FleetFit":
-        d = json.loads(s)
-        return cls(
-            per_cell={e["cell_id"]: (e["log10_a"], e["b"], e["rmse"]) for e in d["per_cell"]},
-            median_log10_a=float(d["median_log10_a"]),
-            median_b=float(d["median_b"]),
-            ah_percentiles={int(p): v for p, v in d["ah_percentiles"].items()},
-            failed_cells=tuple(d["failed_cells"]),
-        )
-
 
 def lower_percentile(values, p: float) -> float:
     """Lower empirical percentile: the ceil(p/100 * n)-th smallest value (p = 50 is the lower median)."""

@@ -70,7 +70,8 @@ def load_config(path, out_override: str | None = None) -> RunConfig:
         _known(raw, "", {"dataset", "output_dir", "seed", "filter", "utilities", "thresholds", "schedule", "workers"})
         seed = checked("seed", raw.get("seed", 0), 0, integer=True)
         sigmas = {f.name for f in fields(NoiseSpec)}  # the filter block holds FilterConfig's fields and the sigmas
-        fkeys = {f.name for f in fields(filtering.FilterConfig)} - {"noise", "seed"}
+        # calibrate's fleet fit sets the prior centres: simulate and retire read them from fleet_fit.json
+        fkeys = {f.name for f in fields(filtering.FilterConfig)} - {"noise", "seed", "init_log10_a", "init_b"}
         fraw = _known(raw.get("filter", {}), "filter.", fkeys | sigmas)
         noise = NoiseSpec(**{k: v for k, v in fraw.items() if k in sigmas})
         fcfg = filtering.FilterConfig(noise=noise, seed=seed, **{k: v for k, v in fraw.items() if k not in sigmas})
@@ -164,7 +165,8 @@ def decoded(path: Path, decode):
         return decode(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise DataError(f"{path}: missing") from None
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError, DataError) as e:  # JSONDecodeError is a ValueError
+    # JSONDecodeError is a ValueError; numpy raises OverflowError for an integer beyond float range
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError, DataError) as e:
         raise DataError(f"{path}: corrupted ({type(e).__name__}: {e})") from None
 
 
@@ -184,15 +186,12 @@ def load_traces(cfg: RunConfig) -> dict[str, tuple[dataset.Split, dataset.Normal
 
 
 def with_fleet_fit(cfg: RunConfig) -> RunConfig:
-    """`cfg` with the filter's initial cloud centred on the fleet medians once calibrate has run."""
-    path = cfg.output_dir / "fleet_fit.json"
-    if not path.exists():
-        return cfg
-    def centred(text: str) -> filtering.FilterConfig:  # FilterConfig rejects a median it cannot draw around
-        fit = calib.FleetFit.from_json(text)
-        return replace(cfg.filter, init_log10_a=fit.median_log10_a, init_b=fit.median_b)
+    """`cfg` with the filter's initial cloud centred on calibrate's fleet medians, as `fleet_fit.json` stores them."""
+    def centred(text: str) -> filtering.FilterConfig:  # FilterConfig's checks are the one rule for the medians
+        fit = json.loads(text)
+        return replace(cfg.filter, init_log10_a=fit["median_log10_a"], init_b=fit["median_b"])
 
-    return replace(cfg, filter=decoded(path, centred))
+    return replace(cfg, filter=decoded(cfg.output_dir / "fleet_fit.json", centred))
 
 
 def prediction_schedule(cfg: RunConfig, trace: dataset.NormalizedTrace) -> list[int]:
@@ -314,10 +313,12 @@ def eol_table(text: str) -> prognosis.EolDistribution:
     return prognosis.EolDistribution(rows[:, 0], rows[:, 1])
 
 
-def prediction_columns(text: str) -> tuple[np.ndarray, np.ndarray]:
+def prediction_columns(text: str, eol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The integer `at_cycle` and numeric `rul_median` columns of a `predictions.json` written by
-    simulate; each prediction must hold all four keys simulate writes."""
+    simulate; each prediction must hold all four keys simulate writes, and be made at `eol` if given."""
     preds = [(p["at_cycle"], p["rul_median"], p["rul_quantiles"], p["eol_threshold"]) for p in json.loads(text)]
+    if eol is not None and any(p[3] != eol for p in preds):
+        raise ValueError(f"made at an eol_threshold other than thresholds.eol {eol} (stale simulate output?)")
     at_cycle, rul_median = np.array([p[0] for p in preds]), np.array([p[1] for p in preds])
     typed = at_cycle.dtype.kind == "i" and rul_median.dtype.kind in "if" and at_cycle.ndim == rul_median.ndim == 1
     if preds and not typed:
@@ -339,7 +340,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         if cell_id not in traces:
             raise DataError(f"{sim_root / cell_id}: cell {cell_id!r} is not in manifest.json (stale simulate output?)")
         trace = traces[cell_id][1]
-        at_cycle, rul_median = decoded(sim_root / cell_id / "predictions.json", prediction_columns)
+        preds_path = sim_root / cell_id / "predictions.json"
+        at_cycle, rul_median = decoded(preds_path, lambda text: prediction_columns(text, cfg.eol))
         if not len(at_cycle):
             continue
         series = evaluation.rul_errors(trace, at_cycle, rul_median, cfg.eol)

@@ -29,11 +29,16 @@ def checked_name(name: str) -> str:
     return name
 
 
+def typed_items(values, types: set) -> bool:
+    """False for a list (as JSON decodes one) holding an item of a type not in `types`, which numpy would coerce
+    (`true` to 1, "0.95" to 0.95); an array is left to its dtype check."""
+    return not isinstance(values, list) or set(map(type, values)) <= types
+
+
 def checked_cycles(cell_id: str, cycles) -> np.ndarray:
-    """`cycles` as an array if they are integers, strictly increasing and starting at >= 1; else DataError.
-    numpy reads `true` in a list as 1, so a list (as JSON decodes one) is checked item by item."""
+    """`cycles` as an array if they are integers, strictly increasing and starting at >= 1; else DataError."""
     arr = np.asarray(cycles)
-    if arr.ndim != 1 or arr.dtype.kind != "i" or isinstance(cycles, list) and any(type(k) is not int for k in cycles):
+    if arr.ndim != 1 or arr.dtype.kind != "i" or not typed_items(cycles, {int}):
         raise DataError(f"{cell_id}: cycles must be one list of integers")
     if np.any(np.diff(arr) <= 0):
         raise DataError(f"{cell_id}: cycles not strictly increasing")
@@ -81,9 +86,10 @@ class NormalizedTrace:
 
     def __post_init__(self):
         object.__setattr__(self, "cycles", checked_cycles(self.cell_id, self.cycles))
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
-        if len(self.q) != len(self.cycles) or not np.all(np.isfinite(self.q)):
-            raise DataError(f"{self.cell_id}: need one finite normalized capacity per cycle")
+        q = np.asarray(self.q, dtype=float)
+        if len(q) != len(self.cycles) or not np.all(np.isfinite(q)) or not typed_items(self.q, {int, float}):
+            raise DataError(f"{self.cell_id}: need one finite normalized capacity (a number) per cycle")
+        object.__setattr__(self, "q", q)
         checked(f"{self.cell_id}: q0_ah", self.q0_ah, 0)
         if np.max(self.q) > 1.15:
             raise DataError(f"{self.cell_id}: normalized capacity exceeds sanity bound 1.15")

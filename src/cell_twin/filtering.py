@@ -29,7 +29,7 @@ WEIGHT_SUM_TOL = 1e-9  # how far stored weights may sum from 1 (snapshots, EOL t
 class FilterConfig:
     n_particles: int = 1000
     noise: NoiseSpec = field(default_factory=NoiseSpec)
-    init_log10_a: float = -15.77
+    init_log10_a: float = -15.77      # the CLI sets both centres to calibrate's fleet medians
     init_b: float = 5.45
     init_spread_log10_a: float = 0.5
     init_spread_b: float = 0.5

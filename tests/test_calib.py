@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cell_twin import NormalizedTrace
-from cell_twin.calib import FleetFit, fit_power_law, fleet_calibrate, lower_percentile, total_measured_ah
+from cell_twin.calib import fit_power_law, fleet_calibrate, lower_percentile, total_measured_ah
 from cell_twin.errors import DataError, InsufficientFade
 from cell_twin.model import _LN10, eol_cycles
 from conftest import power_law_trace, rise_then_fade_trace
@@ -113,8 +113,3 @@ class TestFleetCalibrate:
         traces = self.traces([5.0])
         fit = fleet_calibrate(traces)
         assert fit.ah_percentiles[50] == pytest.approx(total_measured_ah(traces[0]))
-
-    def test_json_round_trip(self):
-        fit = fleet_calibrate(self.traces([4.0, 5.0, 6.0]))
-        fit2 = FleetFit.from_json(fit.to_json())
-        assert fit2 == fit

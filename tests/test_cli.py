@@ -321,6 +321,7 @@ class TestRetire:
     def test_not_triggered_exit(self, tmp_path):
         cfg, out = make_config(tmp_path)
         run("ingest", cfg)
+        run("calibrate", cfg)
         cell = sorted(json.loads((out / "manifest.json").read_text()))[-1]
         assert run("retire", cfg, "--cell", cell, "--current", "10") == 4
 
@@ -379,7 +380,7 @@ class TestEndToEndDeterminism:
         trees = {}
         for name, seed in [("seed_1", 1), ("seed_99", 99), ("seed_99_again", 99)]:
             cfg, out = make_config(tmp_path, out_name=name, seed=seed)
-            assert run("ingest", cfg) == 0
+            assert run("ingest", cfg) == 0 and run("calibrate", cfg) == 0
             assert run("simulate", cfg, "--cell", "test1_c000") == 0
             trees[name] = tree_bytes(out / "sim")
         assert trees["seed_1"] != trees["seed_99"]
@@ -469,31 +470,26 @@ def negative_eol_weight(out: Path):
 
 SPEC = {"name": "total_ah", "l_u": 300.0, "h_u": 1000.0, "r": 200.0, "extractor": "total_ah"}
 
-def unlink_fit(out: Path):
-    (out / "fleet_fit.json").unlink()
-
 
 def delete(pattern: str):
     """An output edit that deletes the first file matching `pattern`."""
     return lambda out: sorted(out.glob(pattern))[0].unlink()
 
 
-def set_cycles(edit):
-    """An output edit that sets the cycles of cells/train_c000.json to `edit(cycles)`."""
+def set_cell_list(key, edit):
+    """An output edit that sets the list `key` of cells/train_c000.json to `edit(list)`."""
     def apply(out: Path):
         path = out / "cells" / "train_c000.json"
         cell = json.loads(path.read_text())
-        path.write_text(json.dumps({**cell, "cycles": edit(cell["cycles"])}))
+        path.write_text(json.dumps({**cell, key: edit(cell[key])}))
     return apply
 
 
 # every cell of make_config's fleet has q(1) in [0.978, 0.987], so this trigger starts its predictions at cycle 1
 FROM_CYCLE_1 = {"thresholds": {"trigger": 0.99}}
 
-
-def wide_prior(init_b: float) -> dict:
-    """Config overrides that project a 200-particle prior around `init_b` from cycle 1."""
-    return {"filter": {"n_particles": 200, "init_b": init_b, "init_spread_b": 0.05}, **FROM_CYCLE_1}
+# a 200-particle prior narrow in b, projected from cycle 1
+NARROW_FROM_CYCLE_1 = {"filter": {"n_particles": 200, "init_spread_b": 0.05}, **FROM_CYCLE_1}
 
 
 # (command, config overrides, dataset edit, edit of earlier outputs, exit code, stderr must name)
@@ -513,17 +509,24 @@ BAD_INPUTS = {
     "key_schedule_cycles": (
         "ingest", {"schedule": {"cycles": [100, 200]}}, None, None, 2, "unknown config keys: schedule.cycles"
     ),
-    "init_b_negative": ("simulate", {"filter": {"n_particles": 150, "init_b": -5}}, None, None, 2, "init_b"),
-    "init_log10_a_str": (
-        "simulate", {"filter": {"n_particles": 150, "init_log10_a": "x"}}, None, None, 2, "init_log10_a"
+    # the prior centres are calibrate's fleet medians, read from fleet_fit.json as stored
+    "key_init_b": ("simulate", {"filter": {"init_b": 5.45}}, None, None, 2, "unknown config keys: filter.init_b"),
+    "key_init_log10_a": (
+        "simulate", {"filter": {"init_log10_a": -15.77}}, None, None, 2, "unknown config keys: filter.init_log10_a"
     ),
+    "fit_missing_simulate": ("simulate", {}, None, delete("fleet_fit.json"), 3, "fleet_fit.json: missing"),
+    "fit_missing_retire": ("retire", {}, None, delete("fleet_fit.json"), 3, "fleet_fit.json: missing"),
     "fit_b_negative": ("simulate", {}, None, set_key("fleet_fit.json", "median_b", -5.0), 3, "fleet_fit.json"),
-    "horizon_unbounded": (
-        "simulate", {"filter": {"n_particles": 150, "init_b": 0.3}, **FROM_CYCLE_1},
-        None, unlink_fit, 4, "cycle 1",
+    "fit_median_b_true": ("simulate", {}, None, set_key("fleet_fit.json", "median_b", True), 3, "fleet_fit.json"),
+    "fit_median_log10_a_str": (
+        "simulate", {}, None, set_key("fleet_fit.json", "median_log10_a", "-15.5"), 3, "fleet_fit.json"
     ),
-    "horizon_3e17": ("simulate", wide_prior(1.0), None, unlink_fit, 4, "cycle 1"),
-    "horizon_5e7": ("simulate", wide_prior(2.2), None, unlink_fit, 4, "cycle 1"),
+    "horizon_unbounded": (
+        "simulate", {"filter": {"n_particles": 150}, **FROM_CYCLE_1},
+        None, set_key("fleet_fit.json", "median_b", 0.3), 4, "cycle 1",
+    ),
+    "horizon_3e17": ("simulate", NARROW_FROM_CYCLE_1, None, set_key("fleet_fit.json", "median_b", 1.0), 4, "cycle 1"),
+    "horizon_5e7": ("simulate", NARROW_FROM_CYCLE_1, None, set_key("fleet_fit.json", "median_b", 2.2), 4, "cycle 1"),
     "key_normalise_window": ("ingest", {"normalise_window": 0}, None, None, 2, "normalise_window"),
     "key_split_manifest": ("ingest", {"split_manifest": "splits.csv"}, None, None, 2, "split_manifest"),
     "key_thresholds_eoll": ("ingest", {"thresholds": {"eoll": 0.8}}, None, None, 2, "thresholds.eoll"),
@@ -575,10 +578,24 @@ BAD_INPUTS = {
         "calibrate", {}, None, set_key("cells/train_c000.json", "extrapolated_from", 1.5), 3, "train_c000.json"
     ),
     # a cells/<id>.json cycle must be a JSON integer: numpy would read 1.5 as 1 and a leading true as 1
-    "cells_cycle_float": ("calibrate", {}, None, set_cycles(lambda ks: [ks[0], 1.5, *ks[2:]]), 3, "train_c000.json"),
-    "cells_cycle_true": ("calibrate", {}, None, set_cycles(lambda ks: [True, *ks[1:]]), 3, "train_c000.json"),
+    "cells_cycle_float": (
+        "calibrate", {}, None, set_cell_list("cycles", lambda ks: [ks[0], 1.5, *ks[2:]]), 3, "train_c000.json"
+    ),
+    "cells_cycle_true": (
+        "calibrate", {}, None, set_cell_list("cycles", lambda ks: [True, *ks[1:]]), 3, "train_c000.json"
+    ),
     "cells_cycles_swapped": (
-        "calibrate", {}, None, set_cycles(lambda ks: [ks[0], ks[2], ks[1], *ks[3:]]), 3, "train_c000.json"
+        "calibrate", {}, None, set_cell_list("cycles", lambda ks: [ks[0], ks[2], ks[1], *ks[3:]]), 3, "train_c000.json"
+    ),
+    # a q item must be a JSON number: numpy would read true as 1.0 and "0.95" as 0.95
+    "cells_q_true": (
+        "calibrate", {}, None, set_cell_list("q", lambda qs: [qs[0], True, *qs[2:]]), 3, "train_c000.json"
+    ),
+    "cells_q_str": (
+        "calibrate", {}, None, set_cell_list("q", lambda qs: [qs[0], repr(qs[1]), *qs[2:]]), 3, "train_c000.json"
+    ),
+    "cells_q_int_10e400": (
+        "calibrate", {}, None, set_cell_list("q", lambda qs: [qs[0], 10**400, *qs[2:]]), 3, "train_c000.json"
     ),
     "cells_q0_ah_true": ("calibrate", {}, None, set_key("cells/train_c000.json", "q0_ah", True), 3, "train_c000.json"),
     "weight_str": ("retire", {"utilities": [{**SPEC, "weight": "x"}]}, None, None, 2, "weight"),
@@ -623,6 +640,8 @@ BAD_INPUTS = {
         "evaluate", {}, None, set_prediction("at_cycle", 369.5), 3, "predictions.json"
     ),
     "predictions_rul_str": ("evaluate", {}, None, set_prediction("rul_median", "x"), 3, "predictions.json"),
+    # simulate made the predictions at eol 0.5
+    "evaluate_eol_differs": ("evaluate", {"thresholds": {"eol": 0.6}}, None, None, 3, "predictions.json"),
     "manifest_missing": ("calibrate", {}, None, delete("manifest.json"), 3, "manifest.json: missing"),
     "predictions_missing": (
         "evaluate", {}, None, delete("sim/test1_c000/predictions.json"), 3, "predictions.json: missing"
@@ -812,7 +831,7 @@ FULL_CONFIG = {
     "output_dir": "out",
     "seed": 1,
     "filter": {
-        "n_particles": 150, "init_log10_a": -15.77, "init_b": 5.45, "init_spread_log10_a": 0.5, "init_spread_b": 0.5,
+        "n_particles": 150, "init_spread_log10_a": 0.5, "init_spread_b": 0.5,
         "resample_threshold": 0.5, "sigma_meas": 0.01, "sigma_log_a": 0.05, "sigma_b": 0.05,
     },
     "utilities": [{**SPEC, "weight": 1.0}],

@@ -313,11 +313,11 @@ def eol_table(text: str) -> prognosis.EolDistribution:
     return prognosis.EolDistribution(rows[:, 0], rows[:, 1])
 
 
-def prediction_columns(text: str, eol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def prediction_columns(text: str, eol: float) -> tuple[np.ndarray, np.ndarray]:
     """The integer `at_cycle` and numeric `rul_median` columns of a `predictions.json` written by
-    simulate; each prediction must hold all four keys simulate writes, and be made at `eol` if given."""
+    simulate; each prediction must hold all four keys simulate writes, and be made at `eol`."""
     preds = [(p["at_cycle"], p["rul_median"], p["rul_quantiles"], p["eol_threshold"]) for p in json.loads(text)]
-    if eol is not None and any(p[3] != eol for p in preds):
+    if any(p[3] != eol for p in preds):
         raise ValueError(f"made at an eol_threshold other than thresholds.eol {eol} (stale simulate output?)")
     at_cycle, rul_median = np.array([p[0] for p in preds]), np.array([p[1] for p in preds])
     typed = at_cycle.dtype.kind == "i" and rul_median.dtype.kind in "if" and at_cycle.ndim == rul_median.ndim == 1
@@ -340,8 +340,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         if cell_id not in traces:
             raise DataError(f"{sim_root / cell_id}: cell {cell_id!r} is not in manifest.json (stale simulate output?)")
         trace = traces[cell_id][1]
-        preds_path = sim_root / cell_id / "predictions.json"
-        at_cycle, rul_median = decoded(preds_path, lambda text: prediction_columns(text, cfg.eol))
+        at_cycle, rul_median = decoded(sim_root / cell_id / "predictions.json", lambda text: prediction_columns(text, cfg.eol))
         if not len(at_cycle):
             continue
         series = evaluation.rul_errors(trace, at_cycle, rul_median, cfg.eol)

@@ -917,12 +917,12 @@ PREDICTION = {"at_cycle": 300, "rul_median": 250.5, "rul_quantiles": {"0.5": 250
 
 class TestPredictionColumns:
     def test_columns(self):
-        at_cycle, rul_median = prediction_columns(json.dumps([PREDICTION, {**PREDICTION, "at_cycle": 400}]))
+        at_cycle, rul_median = prediction_columns(json.dumps([PREDICTION, {**PREDICTION, "at_cycle": 400}]), 0.5)
         assert at_cycle.dtype.kind == "i" and at_cycle.tolist() == [300, 400]
         assert rul_median.dtype == np.float64 and rul_median.tolist() == [250.5, 250.5]
 
     def test_empty(self):
-        at_cycle, rul_median = prediction_columns("[]")
+        at_cycle, rul_median = prediction_columns("[]", 0.5)
         assert len(at_cycle) == len(rul_median) == 0
 
     @pytest.mark.parametrize(
@@ -944,7 +944,7 @@ class TestPredictionColumns:
         path = tmp_path / "predictions.json"
         path.write_text(json.dumps([PREDICTION, bad]))
         with pytest.raises(DataError, match="predictions.json"):
-            decoded(path, prediction_columns)
+            decoded(path, lambda text: prediction_columns(text, 0.5))
 
 
 def row_writer(header, rows) -> str:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .dataset import NormalizedTrace
 from .errors import DataError, InsufficientFade
@@ -67,6 +66,8 @@ def fit_power_law(trace: NormalizedTrace) -> tuple[float, float, float]:
     exponent is not positive, or whose a is not a positive float, is no fade
     curve and raises InsufficientFade.
     """
+    from scipy.optimize import least_squares  # here, so that commands other than calibrate skip its import
+
     mask = trace.measured_mask & (trace.q < 1.0 - FADE_EPS)
     if int(mask.sum()) < MIN_FIT_POINTS:
         raise InsufficientFade(

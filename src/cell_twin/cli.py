@@ -6,8 +6,11 @@ renames.  A command computes each output directory (`cells/`,
 `sim/<cell>/`, `retire/<cell>/`, `metrics/`) as a value first, then
 `write_dir` replaces the directory with exactly those files, so a failure
 while computing leaves the last complete run's directory and a rerun keeps
-no file of an earlier one.  Exit codes: 0 success, 2 config error, 3 data
-error (a missing or corrupted earlier output among them), 4 runtime error.
+no file of an earlier one.  `simulate` runs its cells on a fork process
+pool, one worker per usable CPU, and attempts every cell before it reports
+the first failing cell's error.  Exit codes: 0 success, 2 config error, 3
+data error (a missing or corrupted earlier output among them), 4 runtime
+error (a dead `simulate` worker among them).
 """
 
 from __future__ import annotations
@@ -16,11 +19,15 @@ import argparse
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import shutil
 import sys
 import tempfile
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +260,17 @@ def _simulate_cell(cfg: RunConfig, cell_id: str, trace: dataset.NormalizedTrace,
     return files
 
 
+def _simulate_and_write(cfg: RunConfig, cell_id: str, trace: dataset.NormalizedTrace) -> int:
+    """Write `sim/<cell_id>/`; the number of prediction cycles.  Module-level, so a pool worker can run it."""
+    schedule = prediction_schedule(cfg, trace)
+    write_dir(cfg.output_dir / "sim", cell_id, _simulate_cell(cfg, cell_id, trace, schedule))
+    return len(schedule)
+
+
+def usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def cmd_simulate(cfg: RunConfig, cell_id: str | None) -> int:
     traces = load_traces(cfg)
     if cell_id is not None:
@@ -262,11 +280,23 @@ def cmd_simulate(cfg: RunConfig, cell_id: str | None) -> int:
     else:
         targets = sorted(c for c, (s, _) in traces.items() if s is not dataset.Split.TRAIN)
     cfg = with_fleet_fit(cfg)
-    # per-cell seeds come from (seed, cell_id): a cell's outputs do not depend on the other cells
-    for c in targets:
-        schedule = prediction_schedule(cfg, traces[c][1])
-        write_dir(cfg.output_dir / "sim", c, _simulate_cell(cfg, c, traces[c][1], schedule))
-        print(f"{c}: {len(schedule)} prediction cycles")
+    # per-cell seeds come from (seed, cell_id): a cell's outputs do not depend on the other cells, so
+    # workers each simulate and write one cell; forked, they need not import numpy again
+    jobs = [partial(_simulate_and_write, cfg, c, traces[c][1]) for c in targets]
+    size = min(len(jobs), usable_cpus())
+    fork = size > 1 and "fork" in multiprocessing.get_all_start_methods()
+    with ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork")) if fork else nullcontext() as pool:
+        results = [pool.submit(job).result for job in jobs] if fork else jobs
+        failures = []
+        for c, result in zip(targets, results):  # every cell is attempted, whatever the pool size
+            try:
+                n = result()
+            except Exception as e:
+                failures.append(e)
+            else:
+                print(f"{c}: {n} prediction cycles")
+    if failures:
+        raise failures[0]
     return EXIT_OK
 
 
@@ -397,7 +427,7 @@ def main(argv=None) -> int:
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except (CellTwinError, OSError, MemoryError) as e:
+    except (CellTwinError, OSError, MemoryError, BrokenExecutor) as e:  # BrokenExecutor: a simulate worker died
         print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -240,8 +240,8 @@ class TestCriterion8CalibrationOracle:
 
 class TestCriterion9Determinism:
     def test_pipeline_byte_identical_across_runs_and_workers(self, tmp_path):
-        # simulate runs its cells one after another; a cell simulated alone (`--cell`)
-        # must write the bytes it writes in a full run
+        # a full simulate runs its cells on a fork pool, one process per usable CPU, and
+        # `--cell` runs serially; a cell simulated alone must write the bytes it writes in a full run
         csv_path = tmp_path / "fleet.csv"
         synth_fleet_csv(csv_path, n_train=5, n_test1=2, n_test2=1, seed=13)
 

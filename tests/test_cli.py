@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import cell_twin
-from cell_twin import filtering, prognosis
+from cell_twin import cli, filtering, prognosis
 from cell_twin.cli import (
     RunConfig, cell_seed, decoded, load_config, load_traces, main, prediction_columns, with_fleet_fit, write_csv,
     write_dir,
@@ -281,6 +282,64 @@ class TestSimulate:
         assert len(calls) == 2 and capsys.readouterr().err.splitlines() == ["error: injected"]
         assert not (out / "sim" / cell).exists()
         assert tree_bytes(out / "sim" / done) == kept
+
+    def test_pool_sizes_1_and_2_write_the_same_bytes(self, tmp_path, capsys, monkeypatch):
+        cfg, out = make_config(tmp_path)
+        assert run("ingest", cfg) == 0 and run("calibrate", cfg) == 0
+        runs = []
+        for size in (1, 2):
+            monkeypatch.setattr(cli, "usable_cpus", lambda: size)
+            capsys.readouterr()
+            assert run("simulate", cfg) == 0
+            runs.append((capsys.readouterr(), tree_bytes(out / "sim")))
+            shutil.rmtree(out / "sim")
+        assert runs[0] == runs[1] and len(runs[0][1]) > 4
+
+    def test_failure_result_equal_at_pool_sizes_1_and_2(self, tmp_path, capsys, monkeypatch):
+        """Every cell is attempted and each one that succeeds is written; the command then exits
+        with the code and message of the first failing cell in target order."""
+        cfg, out = make_config(tmp_path)
+        assert run("ingest", cfg) == 0 and run("calibrate", cfg) == 0
+        targets = sorted(c for c, s in json.loads((out / "manifest.json").read_text()).items() if s != "train")
+        simulate_cell = cli._simulate_cell
+
+        def fails(cfg, cell_id, trace, schedule):
+            if cell_id in targets[1:3]:
+                raise (DataError if cell_id == targets[1] else CellTwinError)(f"{cell_id} injected")
+            return simulate_cell(cfg, cell_id, trace, schedule)
+
+        monkeypatch.setattr(cli, "_simulate_cell", fails)
+        runs = []
+        for size in (1, 2):
+            monkeypatch.setattr(cli, "usable_cpus", lambda: size)
+            capsys.readouterr()
+            code = run("simulate", cfg)
+            runs.append((code, capsys.readouterr(), tree_bytes(out / "sim")))
+            shutil.rmtree(out / "sim")
+        assert runs[0] == runs[1]
+        code, captured, tree = runs[0]
+        assert code == 3 and captured.err.splitlines() == [f"data error: {targets[1]} injected"]
+        assert [line.split(":")[0] for line in captured.out.splitlines()] == [targets[0], targets[3]]
+        assert sorted({Path(p).parts[0] for p in tree}) == [targets[0], targets[3]]
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method")
+    def test_dead_worker_exit_4(self, tmp_path, capsys, monkeypatch):
+        cfg, out = make_config(tmp_path)
+        assert run("ingest", cfg) == 0 and run("calibrate", cfg) == 0
+        parent = os.getpid()
+        simulate_cell = cli._simulate_cell
+
+        def dies(cfg, cell_id, trace, schedule):
+            if os.getpid() != parent and cell_id == "test1_c001":  # never in the calling process
+                os._exit(1)
+            return simulate_cell(cfg, cell_id, trace, schedule)
+
+        monkeypatch.setattr(cli, "_simulate_cell", dies)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+        capsys.readouterr()
+        assert run("simulate", cfg) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "Traceback" not in err[0]
 
     def test_determinism_same_seed(self, tmp_path):
         cfg, out = make_config(tmp_path)
@@ -656,6 +715,14 @@ BAD_INPUTS = {
     "manifest_id_dotdot": ("simulate", {}, None, rename_in_manifest(".."), 3, "'..'"),
     "manifest_id_empty": ("retire", {}, None, rename_in_manifest(""), 3, "''"),
 }
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    """Only calibrate's fit uses scipy, so no other command pays for importing it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cell_twin.__file__).parent.parent)}
+    code = "import sys, cell_twin.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 class TestBadInputExit:

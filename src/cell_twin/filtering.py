@@ -66,7 +66,7 @@ class ParticleEnsemble:
         return len(self.weights)
 
     def ess(self) -> float:
-        return 1.0 / float(np.sum(self.weights ** 2))
+        return 1.0 / float((self.weights * self.weights).sum())
 
     def to_json(self) -> str:
         """Version-2 snapshot: a JSON header plus the (3, n) block [log10_a, b, weights]
@@ -149,14 +149,18 @@ def valid_weights(weights: np.ndarray) -> bool:
 def systematic_resample(weights: np.ndarray, u: float) -> np.ndarray:
     """Index array for systematic resampling from a single uniform draw u."""
     n = len(weights)
-    positions = (u + np.arange(n)) / n
+    positions = (u + np.arange(n, dtype=float)) / n
     cumsum = np.cumsum(weights)
     cumsum[-1] = 1.0  # guard rounding
     return np.searchsorted(cumsum, positions, side="right")
 
 
 def step(ens: ParticleEnsemble, k: int, q_obs: float, noise: NoiseSpec) -> ParticleEnsemble:
-    """One predict / update / resample cycle against measurement (k, q_obs)."""
+    """One predict / update / resample cycle against measurement (k, q_obs).
+
+    The weight update runs in place on the log-likelihood array, under one error state, with the
+    arithmetic (so every bit) of `log(w) + log_lik`, `exp(log_w - max)` and division by the sum.
+    """
     if not np.isfinite(q_obs):
         raise DataError(f"q_obs must be finite, got {q_obs!r}")
     if k <= ens.last_cycle:
@@ -164,20 +168,19 @@ def step(ens: ParticleEnsemble, k: int, q_obs: float, noise: NoiseSpec) -> Parti
 
     n = ens.n
     # predict: random walk on (log10 a, b), b reflected at zero; update: log-likelihood of q_obs.  Runaway particles
-    # overflow to -inf log-likelihood (intended); a NaN one (sigmas near 1e308) makes `m` NaN: a CellTwinError
-    with np.errstate(over="ignore", invalid="ignore"):
+    # overflow to -inf log-likelihood (intended), zero weights map cleanly to -inf, and a NaN particle (sigmas near
+    # 1e308) makes `m` NaN: a CellTwinError
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ens.log10_a += ens.rng.normal(0.0, noise.sigma_log_a, size=n)
         ens.b += ens.rng.normal(0.0, noise.sigma_b, size=n)
         np.abs(ens.b, out=ens.b)
-        q_pred = fade_q(_LN10 * ens.log10_a, ens.b, math.log(k))
-        log_lik = gaussian_log_lik(q_obs - q_pred, noise.sigma_meas)
-    with np.errstate(divide="ignore"):  # zero weights map cleanly to -inf
-        log_w = np.log(ens.weights) + log_lik
-    m = np.max(log_w)
+        log_w = gaussian_log_lik(q_obs - fade_q(_LN10 * ens.log10_a, ens.b, math.log(k)), noise.sigma_meas)
+        log_w += np.log(ens.weights)
+    m = log_w.max()
     if not np.isfinite(m):
         raise CellTwinError(f"all particle likelihoods vanished at cycle {k}")
-    w = np.exp(log_w - m)
-    ens.weights = w / np.sum(w)
+    ens.weights = w = np.exp(np.subtract(log_w, m, out=log_w), out=log_w)
+    w /= w.sum()
 
     # resample on ESS collapse
     if ens.ess() < ens.resample_threshold * n:

@@ -19,7 +19,7 @@ from .filtering import ParticleEnsemble
 from .model import _LN10, eol_cycles, fade_q
 
 
-BAND_BLOCK = 64  # columns per band block: band memory is particles x BAND_BLOCK, whatever the horizon
+BAND_BLOCK = 32  # columns per band block: band memory is particles x BAND_BLOCK, whatever the horizon
 BAND_LEVELS = (0.05, 0.5, 0.95)
 MAX_HORIZON_SPAN = 100_000  # cycles a projection may span; a 50-cycle twin's default prior spans about 8,200
 
@@ -100,18 +100,28 @@ class EolDistribution:
 def _bands(proj: CapacityProjection) -> np.ndarray:
     """Per-cycle `lower_quantiles` at BAND_LEVELS of the frozen-parameter trajectories, BAND_BLOCK columns at a time.
 
-    Each block is built with its particles in the order of its first column,
-    so the stable per-column argsort works on nearly sorted data.  Particles
-    tied in the first column keep their order, so identical particles (as
-    after a resample) add their weights in the order a stable sort of each
-    whole column would, and the bands are bitwise those of that sort.
+    With equal weights (as after a resample) the running sums are the same
+    in every column, so each level is one fixed order statistic: its index
+    is `lower_quantiles` of the particle ranks, and a plain value sort of
+    each block gives bitwise the values a stable sort would, ties included.
+    Otherwise each block is built with its particles in the order of its
+    first column, so the stable per-column argsort works on nearly sorted
+    data.  Particles tied in the first column keep their order, so identical
+    particles add their weights in the order a stable sort of each whole
+    column would, and the bands are bitwise those of that sort.
     """
     ln_k = np.log(proj.cycles)
+    w = proj.eol_weights
+    js = lower_quantiles(np.arange(len(w), dtype=float), w, BAND_LEVELS).astype(int) if np.all(w == w[0]) else None
     out = np.empty((len(BAND_LEVELS), len(ln_k)))
     for start in range(0, len(ln_k), BAND_BLOCK):
-        rows = np.argsort(fade_q(proj.ln_a, proj.b, ln_k[start]), kind="stable")
-        traj = fade_q(proj.ln_a[rows, None], proj.b[rows, None], ln_k[start:start + BAND_BLOCK])
-        out[:, start:start + BAND_BLOCK] = lower_quantiles(traj, proj.eol_weights[rows], BAND_LEVELS)
+        block = ln_k[start:start + BAND_BLOCK]
+        if js is not None:
+            out[:, start:start + BAND_BLOCK] = np.sort(fade_q(proj.ln_a, proj.b, block[:, None]), axis=1)[:, js].T
+        else:
+            rows = np.argsort(fade_q(proj.ln_a, proj.b, block[0]), kind="stable")
+            traj = fade_q(proj.ln_a[rows, None], proj.b[rows, None], block)
+            out[:, start:start + BAND_BLOCK] = lower_quantiles(traj, w[rows], BAND_LEVELS)
     return np.maximum(out, proj.eol_threshold, out=out)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import cell_twin as ct
-from cell_twin.cli import main as cli_main
+from cell_twin.cli import eol_table, main as cli_main
 from cell_twin.evaluation import CALIBRATION_LEVELS, calibration_curve
 from cell_twin.model import _LN10, eol_cycles
 from cell_twin.prognosis import EolDistribution
@@ -275,6 +275,10 @@ class TestCriterion9Determinism:
         a = full_run("a")
         b = full_run("b")
         assert a == b
+        # the bands have one path for equal weights (as after a resample) and one for uneven weights: cover both
+        weights = [eol_table(v.decode()).weights for k, v in a.items() if k.split("/")[-1].startswith("eol_")]
+        equal = sum(bool(np.all(w == w[0])) for w in weights)
+        assert 0 < equal < len(weights)
         cfg_path, prepared = config("c")
         for cmd in ["ingest", "calibrate"]:
             assert cli_main([cmd, "--config", str(cfg_path)]) == 0
@@ -285,6 +289,6 @@ class TestCriterion9Determinism:
             alone = tree(out / "sim")
             assert alone and alone == {k[len("sim/"):]: v for k, v in a.items() if k.startswith(f"sim/{cell}/")}
         report(
-            f"PASS 9: {len(a)} output files byte-identical across reruns; "
-            f"{len(cells)} test cells byte-identical simulated alone"
+            f"PASS 9: {len(a)} output files byte-identical across reruns, {equal} of {len(weights)} EOL tables with "
+            f"equal weights; {len(cells)} test cells byte-identical simulated alone"
         )

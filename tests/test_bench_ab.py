@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -63,6 +64,24 @@ def test_side_by_side_rows():
     assert rows["trace.spans"][4] == "-"  # no relative change from a zero base
 
 
+FAKE_RUN = """\
+import json, os
+print("record " + json.dumps({"nproc": len(os.sched_getaffinity(0)), "python": "3", "numpy": "2"}))
+print(json.dumps({"metrics": {}, "failed": 0, "attempted": 1}))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+def test_traced_runs_alone_are_pinned_to_one_cpu(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(FAKE_RUN)
+    cpus = os.sched_getaffinity(0)
+    assert bench_ab.run_bench(tmp_path, "w", 1, False)["host"]["nproc"] == len(cpus)
+    assert bench_ab.run_bench(tmp_path, "w", 1, False, trace=1)["host"]["nproc"] == 1
+    assert bench_ab.traced_cpu() == min(cpus)
+    assert os.sched_getaffinity(0) == cpus  # the child was pinned, not this process
+
+
 def test_tiny_run_of_one_checkout_against_itself():
     out = subprocess.run(
         [sys.executable, "tools/bench_ab.py", ".", ".", "--tiny", "--seeds", "2", "--workloads", "online_mixed",
@@ -74,4 +93,5 @@ def test_tiny_run_of_one_checkout_against_itself():
         assert f"| {m['name']} |" in out.stdout
     assert "rul_medae_cycles equal per seed: yes" in out.stdout
     assert "online_mixed, traced (--trace 1), seed 2" in out.stdout
+    assert f'traced runs pinned to CPU {min(os.sched_getaffinity(0))}, host {{"nproc": 1, ' in out.stdout
     assert len(out.stderr.splitlines()) == 4  # one result line per side, untraced and traced

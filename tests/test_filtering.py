@@ -17,7 +17,7 @@ from cell_twin import (
 )
 from cell_twin.errors import CellTwinError, DataError
 from cell_twin.filtering import systematic_resample
-from cell_twin.model import _LN10, eol_cycles, fade_q
+from cell_twin.model import _LN10, eol_cycles, fade_q, gaussian_log_lik
 from cell_twin.prognosis import EolDistribution
 from conftest import power_law_trace
 
@@ -116,6 +116,88 @@ class TestStep:
         step(ens, 5, 1.0, NoiseSpec())
         with pytest.raises(DataError, match="cycle 5 not after last assimilated cycle 5"):
             step(ens, 5, 1.0, NoiseSpec())
+
+
+def reference_systematic_resample(weights, u):
+    n = len(weights)
+    positions = (u + np.arange(n)) / n
+    cumsum = np.cumsum(weights)
+    cumsum[-1] = 1.0  # guard rounding
+    return np.searchsorted(cumsum, positions, side="right")
+
+
+def reference_step(ens, k, q_obs, noise):
+    """Reference for `step`: one temporary array per operation, two error-state blocks and `np.` reductions."""
+    if not np.isfinite(q_obs):
+        raise DataError(f"q_obs must be finite, got {q_obs!r}")
+    if k <= ens.last_cycle:
+        raise DataError(f"cycle {k} not after last assimilated cycle {ens.last_cycle}")
+
+    n = ens.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        ens.log10_a += ens.rng.normal(0.0, noise.sigma_log_a, size=n)
+        ens.b += ens.rng.normal(0.0, noise.sigma_b, size=n)
+        np.abs(ens.b, out=ens.b)
+        q_pred = fade_q(_LN10 * ens.log10_a, ens.b, math.log(k))
+        log_lik = gaussian_log_lik(q_obs - q_pred, noise.sigma_meas)
+    with np.errstate(divide="ignore"):  # zero weights map cleanly to -inf
+        log_w = np.log(ens.weights) + log_lik
+    m = np.max(log_w)
+    if not np.isfinite(m):
+        raise CellTwinError(f"all particle likelihoods vanished at cycle {k}")
+    w = np.exp(log_w - m)
+    ens.weights = w / np.sum(w)
+
+    # resample on ESS collapse
+    if 1.0 / float(np.sum(ens.weights ** 2)) < ens.resample_threshold * n:
+        idx = reference_systematic_resample(ens.weights, float(ens.rng.random()))
+        ens.log10_a = ens.log10_a[idx]
+        ens.b = ens.b[idx]
+        ens.weights = np.full(n, 1.0 / n)
+
+    ens.last_cycle = k
+    return ens
+
+
+def state_of(ens):
+    return (ens.log10_a.tobytes(), ens.b.tobytes(), ens.weights.tobytes(), ens.rng.bit_generator.state,
+            ens.last_cycle)
+
+
+class TestReferenceStep:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 300), st.integers(0, 2**32 - 1), st.sampled_from([0.5, 1.0]), st.data())
+    def test_step_equals_reference_bitwise(self, n, seed, threshold, data):
+        # zero-weight particles, and particles whose fade curve overflows to -inf log-likelihood; at least one
+        # ordinary particle, so the likelihoods never all vanish
+        zero = data.draw(st.integers(0, n - 1), label="zero-weight particles")
+        runaway = data.draw(st.integers(0, n - 1 - zero), label="overflowing particles")
+        ensembles = []
+        for _ in range(2):
+            ens = init(FilterConfig(n_particles=n, seed=seed, resample_threshold=threshold))
+            ens.weights[:zero] = 0.0
+            ens.weights /= ens.weights.sum()
+            ens.log10_a[zero:zero + runaway] = 300.0
+            ensembles.append(ens)
+        ens, ref = ensembles
+        resamples = 0
+        for k, q in zip(TRACE_40.cycles.tolist(), TRACE_40.q.tolist()):
+            before = ref.log10_a
+            step(ens, k, q, NoiseSpec())
+            reference_step(ref, k, q, NoiseSpec())
+            resamples += ref.log10_a is not before  # a resample replaces the arrays; predict updates in place
+            assert state_of(ens) == state_of(ref)
+        if threshold == 1.0:  # the ESS of unequal weights is below n
+            assert resamples > 0
+
+    def test_vanished_likelihoods_raise_as_the_reference_does(self):
+        # every particle with weight overflows, so every log-likelihood is -inf
+        ensembles = [two_particle_ensemble([300.0, -15.0], [5.45, 5.0], weights=(1.0, 0.0)) for _ in range(2)]
+        ens, ref = ensembles
+        for stepper, e in ((step, ens), (reference_step, ref)):
+            with pytest.raises(CellTwinError, match="^all particle likelihoods vanished at cycle 7$"):
+                stepper(e, 7, 0.99, NoiseSpec())
+        assert state_of(ens) == state_of(ref)
 
 
 class TestSystematicResample:

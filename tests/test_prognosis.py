@@ -207,6 +207,23 @@ class TestProject:
             assert band.tolist() == [max(d.quantile(level), 0.5) for d in dists]
         assert np.all(proj.q05 <= proj.median_q) and np.all(proj.median_q <= proj.q95)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([20, 40, 100, 1000]),
+        st.lists(st.tuples(st.floats(-16.2, -15.3), st.floats(5.0, 6.0)), min_size=1, max_size=8),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 250),
+    )
+    def test_equal_weight_bands_equal_sort_path(self, n, pool, seed, from_cycle):
+        # n equal weights, as init and every resample leave them: 0.05 * n is a whole number of particles, so
+        # the 5% level lands on a running-sum step; particles drawn from a small pool, so many are identical;
+        # every fade curve of the pool reaches EOL after cycle 316, so the horizon spans more than one block
+        picks = np.random.default_rng(seed).integers(0, len(pool), n)
+        ens = make_ensemble([pool[i][0] for i in picks], [pool[i][1] for i in picks], np.full(n, 1.0 / n), from_cycle)
+        proj = project(ens, from_cycle, 0.5)
+        assert proj.horizon_cycle - from_cycle + 1 > BAND_BLOCK
+        assert proj.bands.tobytes() == reference_bands(proj).tobytes() == full_matrix_bands(proj).tobytes()
+
     def test_bands_ignore_later_steps(self):
         # `step` changes log10_a and b in place; a projection keeps its own
         trace = power_law_trace(n_cycles=200, noise_std=0.01, seed=4)

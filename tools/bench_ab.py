@@ -26,7 +26,10 @@ compared.
 With `--trace`, it then runs `--trace 1` once per side and workload on
 the first seed and prints every per-layer metric of BENCHMARK.json side
 by side, with the relative change: one traced run each, so it shows where
-a gain lands, not whether it is beyond the noise.
+a gain lands, not whether it is beyond the noise.  Each traced run is
+pinned to one CPU (the lowest this tool may use), so `simulate` runs its
+cells in the traced process and the trace records every span; the traced
+runs' host records (nproc 1) are compared among themselves.
 
 `--tiny` runs the harness's smoke sizes for 1 s: a check of this tool,
 not a measurement.
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -53,11 +57,22 @@ def seed_range(text: str) -> list[int]:
     return seeds
 
 
+def traced_cpu() -> int:
+    """The CPU that traced runs are pinned to."""
+    return min(os.sched_getaffinity(0))
+
+
+def pin_to_traced_cpu():
+    """Restrict the calling process, a child between fork and exec, to `traced_cpu()`."""
+    os.sched_setaffinity(0, {traced_cpu()})
+
+
 def run_bench(checkout: Path, workload: str, seed: int, tiny: bool, trace: int = 0) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", str(trace)]
     if tiny:
         argv += ["--tiny", "--seconds", "1"]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
+                          preexec_fn=pin_to_traced_cpu if trace else None)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2 or not lines[-2].startswith("record "):
         sys.exit(f"bench_ab: {checkout}: {workload} seed {seed} trace {trace} exited {proc.returncode}\n{proc.stderr}")
@@ -146,14 +161,18 @@ def main(argv=None) -> int:
                 print(json.dumps({"side": side, "workload": w, "seed": args.seeds[0], "trace": 1, **r}),
                       file=sys.stderr, flush=True)
 
-    hosts = {json.dumps(r["host"], sort_keys=True) for rs in [*runs.values(), traced.values()] for r in rs}
-    if len(hosts) > 1:
-        print(f"bench_ab: runs differ in {', '.join(SAME_HOST_KEYS)}: {sorted(hosts)}", file=sys.stderr)
-        return 2
+    hosts = {json.dumps(r["host"], sort_keys=True) for rs in runs.values() for r in rs}
+    traced_hosts = {json.dumps(r["host"], sort_keys=True) for r in traced.values()}
+    for kind, found in (("runs", hosts), ("traced runs", traced_hosts)):
+        if len(found) > 1:
+            print(f"bench_ab: {kind} differ in {', '.join(SAME_HOST_KEYS)}: {sorted(found)}", file=sys.stderr)
+            return 2
 
     header = ["metric", "parent", "change", "parent IQR", "rel. change", "bound", "wins", "verdict"]
     ok = True
     print(f"seeds {args.seeds[0]}-{args.seeds[-1]} ({len(args.seeds)} pairs), host {hosts.pop()}")
+    if args.trace:
+        print(f"traced runs pinned to CPU {traced_cpu()}, host {traced_hosts.pop()}")
     for w in workloads:
         parent, change = runs["parent", w], runs["change", w]
         print(f"\n{w}\n")

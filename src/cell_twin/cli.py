@@ -114,6 +114,8 @@ def load_config(path, out_override: str | None = None) -> RunConfig:
             retire_floor=checked("thresholds.retire_floor", th.get("retire_floor", 0.5), 0, 1),
             schedule_stride=checked("schedule.stride", sched.get("stride", 100), 1, integer=True),
         )
+        if cfg.eol < dataset.EXTEND_FLOOR:  # no ingested trace would cross it: evaluate would find no true EOL
+            raise ValueError(f"thresholds.eol {cfg.eol} is below {dataset.EXTEND_FLOOR}, the floor of every ingested trace")
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"invalid config {path}: {e}") from None
 
@@ -329,18 +331,24 @@ def cmd_retire(cfg: RunConfig, cell_id: str, current: int | None) -> int:
             **{f"phi_{n}": v for n, v in decision.phi.items()},
             **decision.raw,
         },
-        "decision.json": json.dumps(decision.summary_dict()),
+        "decision.json": json.dumps({
+            "optimal_cycle": decision.optimal_cycle,
+            "optimal_utility": decision.optimal_utility,
+            "current_cycle": decision.current_cycle,
+            "truncated_at_horizon": decision.truncated_at_horizon,
+        }),
     })
     print(f"{cell_id}: optimal retirement cycle {decision.optimal_cycle} (utility {decision.optimal_utility:.4f})")
     return EXIT_OK
 
 
-def eol_table(text: str) -> prognosis.EolDistribution:
-    """An `eol_*.csv` written by simulate; a truncated one fails the weight sum (np.loadtxt would warn on no rows)."""
+def eol_table(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (eol_cycle, weight) columns of a simulate `eol_*.csv`; a truncated one fails the weight sum (not np.loadtxt,
+    which warns on no rows)."""
     rows = np.array([line.split(",") for line in text.splitlines()[1:]], dtype=float)
     if rows.ndim != 2 or rows.shape[1] != 2 or not np.all(np.isfinite(rows)) or not filtering.valid_weights(rows[:, 1]):
         raise ValueError(f"expected finite (eol_cycle, weight) rows, weights >= 0 summing to 1; got {rows.shape}")
-    return prognosis.EolDistribution(rows[:, 0], rows[:, 1])
+    return rows[:, 0], rows[:, 1]
 
 
 def prediction_columns(text: str, eol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -364,7 +372,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         raise DataError("no simulate outputs found; run simulate first")
 
     metrics = {}
-    dists = []
+    quantiles = []
     observed_eols = []
     for cell_id in simulated:
         if cell_id not in traces:
@@ -380,14 +388,15 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             "pred_rul": series.predicted_rul_median,
             "err": series.signed_error,
         }
-        dists.append(decoded(sim_root / cell_id / f"eol_{at_cycle[0]:06d}.csv", eol_table))
+        eols, weights = decoded(sim_root / cell_id / f"eol_{at_cycle[0]:06d}.csv", eol_table)
+        quantiles.append(prognosis.lower_quantiles(eols, weights, evaluation.INTERVAL_LEVELS))
         observed_eols.append(float(series.true_eol))
 
-    if not dists:
+    if not quantiles:
         raise DataError("no cells with predictions to evaluate")
-    if len(dists) == 1:
+    if len(quantiles) == 1:
         print("warning: calibration curve computed from a single cell")
-    curve = evaluation.calibration_curve(dists, observed_eols)
+    curve = evaluation.calibration_curve(quantiles, observed_eols)
     metrics["calibration.csv"] = {"level": curve.levels, "observed": curve.observed}
     write_dir(cfg.output_dir, "metrics", metrics)
     print(f"calibration over {curve.n_samples} cells: area deviation {curve.area_deviation:.4f}")

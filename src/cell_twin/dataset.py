@@ -18,6 +18,7 @@ from .errors import DataError
 from .model import checked
 
 MAX_EXTENSION = 10  # x the last measured cycle; synthetic fleets need at most 0.4
+EXTEND_FLOOR = 0.5  # the q `extend_linear` extends a trace down to: no extended trace crosses a lower EOL threshold
 
 CSV_COLUMNS = ["cell_id", "split", "cycle", "discharge_capacity_ah", "nominal_capacity_ah"]
 
@@ -187,7 +188,7 @@ def normalize(cell: CellRecord, window: int = 100) -> NormalizedTrace:
     )
 
 
-def extend_linear(trace: NormalizedTrace, tail: int = 30, floor: float = 0.5) -> NormalizedTrace:
+def extend_linear(trace: NormalizedTrace, tail: int = 30, floor: float = EXTEND_FLOOR) -> NormalizedTrace:
     """Extend a trace to `floor` on the OLS line through its last `tail` points.
 
     Appends one synthetic point per cycle on the fitted line, stopping at

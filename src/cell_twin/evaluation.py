@@ -16,6 +16,8 @@ from .dataset import NormalizedTrace, trigger_cycle
 from .errors import CellTwinError, DataError
 
 CALIBRATION_LEVELS = tuple(np.round(np.arange(0.1, 1.0, 0.1), 10))  # nominal levels 0.1, 0.2, ..., 0.9
+INTERVAL_LEVELS = np.concatenate(  # the equal-tailed interval ends: each level's lower end, then each upper end
+    [(1.0 - np.array(CALIBRATION_LEVELS)) / 2.0, (1.0 + np.array(CALIBRATION_LEVELS)) / 2.0])
 
 
 @dataclass(frozen=True)
@@ -48,21 +50,19 @@ def rul_errors(trace: NormalizedTrace, at_cycles, rul_medians, eol_threshold: fl
     return RulErrorSeries(cycles, true_rul, rul_medians, rul_medians - true_rul, true_eol)
 
 
-def calibration_curve(predictive_dists: list, observations: list[float]) -> CalibrationCurve:
+def calibration_curve(interval_quantiles, observations: list[float]) -> CalibrationCurve:
     """Observed coverage of central predictive intervals at each of CALIBRATION_LEVELS.
 
-    `predictive_dists` are per-observation distributions whose quantile(),
-    like `EolDistribution.quantile`, accepts a 1-D array of levels.
+    `interval_quantiles` holds one row per observation: its predictive
+    distribution's quantiles at INTERVAL_LEVELS.
     """
-    if len(predictive_dists) != len(observations):
-        raise CellTwinError(
-            f"{len(predictive_dists)} distributions vs {len(observations)} observations"
-        )
+    q = np.asarray(interval_quantiles, dtype=float)
+    if len(q) != len(observations):
+        raise CellTwinError(f"{len(q)} distributions vs {len(observations)} observations")
     levels = np.array(CALIBRATION_LEVELS)
     obs = np.asarray(observations, dtype=float)[:, None]
     n = len(obs)
-    ends = np.concatenate([(1.0 - levels) / 2.0, (1.0 + levels) / 2.0])
-    q = np.array([dist.quantile(ends) for dist in predictive_dists]).reshape(n, 2, len(levels))
+    q = q.reshape(n, 2, len(levels))
     observed = ((q[:, 0] <= obs) & (obs <= q[:, 1])).sum(axis=0) / n
     return CalibrationCurve(
         levels=levels,

@@ -82,21 +82,6 @@ def lower_quantiles(values: np.ndarray, weights: np.ndarray, levels) -> np.ndarr
     return values[(order[(first, *cols)], *cols)]
 
 
-@dataclass(frozen=True)
-class EolDistribution:
-    """Weighted empirical distribution over per-particle end-of-life cycles.
-
-    Also serves RUL and any other per-particle value; weights sum to 1.
-    """
-
-    eols: np.ndarray
-    weights: np.ndarray
-
-    def quantile(self, level: float | np.ndarray) -> float | np.ndarray:
-        """`lower_quantiles` at `level`, a float or a 1-D array of levels."""
-        return lower_quantiles(self.eols, self.weights, level)
-
-
 def _bands(proj: CapacityProjection) -> np.ndarray:
     """Per-cycle `lower_quantiles` at BAND_LEVELS of the frozen-parameter trajectories, BAND_BLOCK columns at a time.
 

@@ -39,7 +39,7 @@ class RetirementDecision:
     raw: dict[str, np.ndarray]         # per spec name: raw attribute value per candidate
     optimal_cycle: int
     optimal_utility: float
-    truncated_at_horizon: bool = False
+    truncated_at_horizon: bool
 
     @cached_property
     def utility_curve(self) -> list[UtilityPoint]:
@@ -50,25 +50,13 @@ class RetirementDecision:
                    zip(*(v.tolist() for v in phis)), zip(*(v.tolist() for v in raws)))
         return [UtilityPoint(x, lam, dict(zip(names, phi)), dict(zip(names, raw))) for x, lam, phi, raw in rows]
 
-    def summary_dict(self) -> dict:
-        return {
-            "optimal_cycle": self.optimal_cycle,
-            "optimal_utility": self.optimal_utility,
-            "current_cycle": self.current_cycle,
-            "truncated_at_horizon": self.truncated_at_horizon,
-        }
 
-
-def candidate_cycles(
-    current: int, proj: CapacityProjection, floor: float | None = None
-) -> tuple[np.ndarray, bool]:
+def candidate_cycles(current: int, proj: CapacityProjection, floor: float) -> tuple[np.ndarray, bool]:
     """Integer cycles from `current` to the projected-median crossing of `floor`.
 
     Returns (candidates, truncated): truncated is True when the median
     never reaches the floor inside the projection horizon.
     """
-    if floor is None:
-        floor = proj.eol_threshold
     if current < proj.from_cycle:
         raise ValueError("current cycle precedes the projection start")
     cycles = proj.cycles
@@ -101,7 +89,7 @@ def optimize_retirement(
     specs: list[AttributeSpec],
     current: int,
     trigger_threshold: float = 0.95,
-    retire_floor: float | None = None,
+    retire_floor: float = 0.5,
     eol_threshold: float = 0.5,
     discharge_rate_c: float = 4.0,
     proj: CapacityProjection | None = None,

@@ -1,20 +1,20 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
 from cell_twin import NormalizedTrace
+from cell_twin.evaluation import INTERVAL_LEVELS
 from cell_twin.model import fade_q
 
 
 def normal(mu, sigma):
-    """A normal predictive distribution whose `quantile` takes an array of levels.
+    """A normal predictive distribution's quantiles at INTERVAL_LEVELS, as `calibration_curve` takes them.
 
     `ndtri(q) * sigma + mu` is what `scipy.stats.norm(mu, sigma).ppf` computes, without building a frozen
     distribution per call (tens of thousands per calibration-oracle test)."""
-    return SimpleNamespace(quantile=lambda q: ndtri(q) * sigma + mu)
+    return ndtri(INTERVAL_LEVELS) * sigma + mu
 
 
 def power_law_trace(log10_a=-15.77, b=5.45, n_cycles=500, noise_std=0.0, seed=None, cell_id="syn"):

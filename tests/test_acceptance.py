@@ -14,7 +14,7 @@ import cell_twin as ct
 from cell_twin.cli import eol_table, main as cli_main
 from cell_twin.evaluation import CALIBRATION_LEVELS, calibration_curve
 from cell_twin.model import _LN10, eol_cycles
-from cell_twin.prognosis import EolDistribution
+from cell_twin.prognosis import lower_quantiles
 from cell_twin.synth import synth_fleet_csv
 from conftest import normal, power_law_trace
 
@@ -74,7 +74,7 @@ class TestCriterion4FilterConvergence:
             ens = ct.init(cfg)
             ct.assimilate(ens, trace, 500, cfg.noise)
             proj = ct.project(ens, 500, 0.5)
-            med = EolDistribution(proj.per_particle_eol, proj.eol_weights).quantile(0.5)
+            med = lower_quantiles(proj.per_particle_eol, proj.eol_weights, 0.5)
             hits += abs(med - true_eol) / true_eol < 0.10
         assert hits >= 45
         report(f"PASS 4: projected EOL within 10% of truth in {hits}/50 seeded runs")
@@ -276,7 +276,7 @@ class TestCriterion9Determinism:
         b = full_run("b")
         assert a == b
         # the bands have one path for equal weights (as after a resample) and one for uneven weights: cover both
-        weights = [eol_table(v.decode()).weights for k, v in a.items() if k.split("/")[-1].startswith("eol_")]
+        weights = [eol_table(v.decode())[1] for k, v in a.items() if k.split("/")[-1].startswith("eol_")]
         equal = sum(bool(np.all(w == w[0])) for w in weights)
         assert 0 < equal < len(weights)
         cfg_path, prepared = config("c")

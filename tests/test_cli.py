@@ -360,6 +360,7 @@ class TestRetire:
         cell = sorted(json.loads((out / "manifest.json").read_text()))[-1]
         assert run("retire", cfg, "--cell", cell) == 0
         dec = json.loads((out / "retire" / cell / "decision.json").read_text())
+        assert list(dec) == ["optimal_cycle", "optimal_utility", "current_cycle", "truncated_at_horizon"]
         curve = (out / "retire" / cell / "utility_curve.csv").read_text().splitlines()
         assert curve[0] == "cycle,utility,phi_total_ah,phi_mtbc,total_ah,mtbc"
         assert dec["current_cycle"] <= dec["optimal_cycle"]
@@ -595,6 +596,8 @@ BAD_INPUTS = {
         "retire", {"utilities": [{**SPEC, "weight": 1.0, "risk": 5.0}]}, None, None, 2, "utilities[0].risk"
     ),
     "thresholds_list": ("ingest", {"thresholds": ["eol"]}, None, None, 2, "thresholds must be an object"),
+    # ingest extends each trace down to q = 0.5 only, so no trace crosses a lower eol
+    "eol_below_floor": ("ingest", {"thresholds": {"eol": 0.45}}, None, None, 2, "thresholds.eol 0.45 is below 0.5"),
     "filter_pairs": ("ingest", {"filter": [["n_particles", 100]]}, None, None, 2, "filter must be an object"),
     "utilities_object": ("ingest", {"utilities": {}}, None, None, 2, "utilities must be a list"),
     "cycles_object": ("ingest", {"schedule": {"cycles": {}}}, None, None, 2, "unknown config keys: schedule.cycles"),

@@ -4,9 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cell_twin import NormalizedTrace
-from cell_twin.evaluation import CALIBRATION_LEVELS, calibration_curve, rul_errors
+from cell_twin.cli import eol_table
+from cell_twin.evaluation import CALIBRATION_LEVELS, INTERVAL_LEVELS, calibration_curve, rul_errors
 from cell_twin.errors import CellTwinError, DataError
-from cell_twin.prognosis import EolDistribution
+from cell_twin.prognosis import lower_quantiles
 from conftest import normal
 
 
@@ -122,7 +123,52 @@ class TestCalibrationCurve:
         dists, obs = [], []
         for _ in range(500):
             eols = rng.normal(700, 50, 400)
-            dists.append(EolDistribution(eols, np.full(400, 1 / 400)))
+            dists.append(lower_quantiles(eols, np.full(400, 1 / 400), INTERVAL_LEVELS))
             obs.append(rng.normal(700, 50))
         curve = calibration_curve(dists, obs)
         assert np.all(np.abs(curve.observed - curve.levels) < 0.08)
+
+
+def eol_csv(eols, weights) -> str:
+    """The text simulate writes to an `eol_*.csv`."""
+    return "eol_cycle,weight\n" + "".join(f"{e!r},{w!r}\n" for e, w in zip(eols, weights))
+
+
+class TestEvaluatePath:
+    """`eol_table` -> `lower_quantiles` at INTERVAL_LEVELS -> `calibration_curve`, as `evaluate` runs them, on
+    tables whose coverage is known at every level.
+
+    64 equal-weight particles at cycles 1..64, rows written in reverse: every running sum k/64 is exact, so the
+    lower quantile at level p is cycle ceil(64 p), and the central c-interval is [ceil(32 (1 - c)), ceil(32 (1 + c))].
+    """
+
+    TABLE = eol_csv([float(k) for k in range(64, 0, -1)], [1 / 64] * 64)
+    INTERVALS = {0.1: (29, 36), 0.2: (26, 39), 0.3: (23, 42), 0.4: (20, 45), 0.5: (16, 48),
+                 0.6: (13, 52), 0.7: (10, 55), 0.8: (7, 58), 0.9: (4, 61)}
+
+    def curve(self, observations):
+        quantiles = [lower_quantiles(*eol_table(self.TABLE), INTERVAL_LEVELS) for _ in observations]
+        return calibration_curve(quantiles, [float(o) for o in observations])
+
+    def test_interval_ends(self):
+        q = lower_quantiles(*eol_table(self.TABLE), INTERVAL_LEVELS)
+        assert list(zip(q[:9].tolist(), q[9:].tolist())) == [self.INTERVALS[c] for c in CALIBRATION_LEVELS]
+
+    def test_one_observation_per_ring_is_calibrated(self):
+        # observation i lies in the level-(i+1)/10 interval and not in the narrower ones; the last in none
+        curve = self.curve([32, 27, 24, 21, 17, 14, 11, 8, 5, 62])
+        assert curve.observed.tolist() == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+        assert curve.area_deviation == 0.0
+
+    def test_interval_ends_are_covered(self):
+        # both ends of the narrowest interval are inside every interval; one cycle beyond them is not in it
+        assert self.curve([29, 36]).observed.tolist() == [1.0] * 9
+        assert self.curve([28, 37]).observed.tolist() == [0.0] + [1.0] * 8
+        assert self.curve([0, 3, 62, 65]).observed.tolist() == [0.0] * 9
+
+    def test_weighted_table(self):
+        # cycle 10 holds half the weight and cycles 20 and 30 a quarter each: every lower end (level <= 0.45) is
+        # cycle 10, and the upper end is cycle 20 up to level 0.5 (its end 0.75 is exact) and cycle 30 above it
+        quantiles = [lower_quantiles(*eol_table(eol_csv([30.0, 10.0, 20.0], [0.25, 0.5, 0.25])), INTERVAL_LEVELS)] * 2
+        curve = calibration_curve(quantiles, [20.0, 25.0])
+        assert curve.observed.tolist() == [0.5] * 5 + [1.0] * 4

@@ -18,7 +18,7 @@ from cell_twin import (
 from cell_twin.errors import CellTwinError, DataError
 from cell_twin.filtering import systematic_resample
 from cell_twin.model import _LN10, eol_cycles, fade_q, gaussian_log_lik
-from cell_twin.prognosis import EolDistribution
+from cell_twin.prognosis import lower_quantiles
 from conftest import power_law_trace
 
 TINY = 1e-12
@@ -272,8 +272,7 @@ class TestCredibleIntervalCoverage:
             trace = power_law_trace(true_la, true_b, n_cycles=300, noise_std=0.01, seed=30000 + rep)
             ens = init(FilterConfig(n_particles=300, seed=rep))
             assimilate(ens, trace, 300, NoiseSpec())
-            b_dist = EolDistribution(ens.b, ens.weights)
-            lo, hi = b_dist.quantile(0.05), b_dist.quantile(0.95)
+            lo, hi = lower_quantiles(ens.b, ens.weights, np.array([0.05, 0.95]))
             covered += lo <= true_b <= hi
         assert covered >= 80
 

@@ -10,7 +10,7 @@ from cell_twin import FilterConfig, NoiseSpec, assimilate, init, project, rul
 from cell_twin.errors import CellTwinError
 from cell_twin.filtering import ParticleEnsemble
 from cell_twin.model import _LN10, eol_cycles, fade_q
-from cell_twin.prognosis import BAND_BLOCK, BAND_LEVELS, MAX_HORIZON_SPAN, EolDistribution, lower_quantiles
+from cell_twin.prognosis import BAND_BLOCK, BAND_LEVELS, MAX_HORIZON_SPAN, lower_quantiles
 from conftest import power_law_trace
 
 finite_values = st.one_of(st.integers(-5, 5).map(float), st.floats(-1e6, 1e6))
@@ -91,7 +91,7 @@ def make_ensemble(log10_as, bs, weights=None, last_cycle=0):
 
 class TestWeightedQuantile:
     def test_lower_median_two_points(self):
-        assert EolDistribution(np.array([600.0, 800.0]), np.array([0.5, 0.5])).quantile(0.5) == 600.0
+        assert lower_quantiles(np.array([600.0, 800.0]), np.array([0.5, 0.5]), 0.5) == 600.0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(21)
@@ -100,7 +100,7 @@ class TestWeightedQuantile:
             w = rng.random(10)
             w /= w.sum()
             lvl = rng.uniform(0.05, 0.95)
-            got = EolDistribution(v, w).quantile(lvl)
+            got = lower_quantiles(v, w, lvl)
             order = np.argsort(v)
             cum = 0.0
             for i in order:
@@ -126,7 +126,7 @@ class TestWeightedQuantile:
             v for v in sorted(set(values))
             if 2 * sum(c for x, c in zip(values, counts) if x <= v) >= m
         )
-        got = EolDistribution(np.array(values), np.array(counts) / total).quantile(m / (2 * total))
+        got = lower_quantiles(np.array(values), np.array(counts) / total, m / (2 * total))
         assert got == expect
 
     @given(
@@ -156,9 +156,9 @@ class TestWeightedQuantile:
     )
     def test_level_array_equals_scalar_calls(self, pairs, levels):
         weights = np.array([w for _, w in pairs])
-        dist = EolDistribution(np.array([v for v, _ in pairs]), weights / weights.sum())
-        got = dist.quantile(np.array(levels))
-        assert got.tolist() == [dist.quantile(lvl) for lvl in levels]
+        values, weights = np.array([v for v, _ in pairs]), weights / weights.sum()
+        got = lower_quantiles(values, weights, np.array(levels))
+        assert got.tolist() == [lower_quantiles(values, weights, lvl) for lvl in levels]
 
 
 class TestProject:
@@ -185,7 +185,7 @@ class TestProject:
         proj = project(ens, 50, 0.5)
         vals = fade_q(_LN10 * ens.log10_a, ens.b, math.log(50))
         assert proj.median_q[0] == pytest.approx(
-            max(EolDistribution(vals, ens.weights).quantile(0.5), 0.5)
+            max(lower_quantiles(vals, ens.weights, 0.5), 0.5)
         )
 
     @settings(deadline=None)
@@ -311,31 +311,32 @@ class TestEolDistribution:
     def test_single_particle_step_cdf(self):
         ens = make_ensemble([-15.77], [5.45])
         proj = project(ens, 1, 0.5)
-        dist = EolDistribution(proj.per_particle_eol, proj.eol_weights)
-        eol = float(dist.eols[0])
+        eols, weights = proj.per_particle_eol, proj.eol_weights
+        eol = float(eols[0])
         assert eol == pytest.approx(((1 - 0.5) / 10 ** -15.77) ** (1 / 5.45), rel=1e-9)
-        assert dist.quantile(np.array([0.0, 1e-9, 0.5, 1.0])).tolist() == [eol] * 4
+        assert lower_quantiles(eols, weights, np.array([0.0, 1e-9, 0.5, 1.0])).tolist() == [eol] * 4
 
     def test_counting(self):
-        dist = EolDistribution(np.array([700.0, 800.0, 600.0]), np.full(3, 1 / 3))
+        eols, weights = np.array([700.0, 800.0, 600.0]), np.full(3, 1 / 3)
         levels = np.array([0.0, 0.3, 1 / 3, 0.5, 0.9, 1.0])  # 1/3 is the first step: the lower quantile stays there
-        assert dist.quantile(levels).tolist() == [600.0, 600.0, 600.0, 700.0, 800.0, 800.0]
-        assert [dist.quantile(float(lvl)) for lvl in levels] == dist.quantile(levels).tolist()
+        got = lower_quantiles(eols, weights, levels).tolist()
+        assert got == [600.0, 600.0, 600.0, 700.0, 800.0, 800.0]
+        assert [lower_quantiles(eols, weights, float(lvl)) for lvl in levels] == got
 
     def test_self_consistency_at_median(self):
         ens = init(FilterConfig(n_particles=1000, seed=17))
         proj = project(ens, 1, 0.5)
-        dist = EolDistribution(proj.per_particle_eol, proj.eol_weights)
-        med = dist.quantile(0.5)
-        assert dist.weights[dist.eols < med].sum() < 0.5
-        assert dist.weights[dist.eols <= med].sum() == pytest.approx(0.5, abs=1.5 / 1000)
+        eols, weights = proj.per_particle_eol, proj.eol_weights
+        med = lower_quantiles(eols, weights, 0.5)
+        assert weights[eols < med].sum() < 0.5
+        assert weights[eols <= med].sum() == pytest.approx(0.5, abs=1.5 / 1000)
 
 
 class TestRul:
     def test_at_median_eol_rul_zero(self):
         ens = init(FilterConfig(n_particles=500, seed=18))
         proj = project(ens, 1, 0.5)
-        med_eol = EolDistribution(proj.per_particle_eol, proj.eol_weights).quantile(0.5)
+        med_eol = lower_quantiles(proj.per_particle_eol, proj.eol_weights, 0.5)
         pred = rul(proj, int(np.ceil(med_eol)))
         assert pred.rul_median <= 1.0
 

@@ -114,8 +114,10 @@ def load_config(path, out_override: str | None = None) -> RunConfig:
             retire_floor=checked("thresholds.retire_floor", th.get("retire_floor", 0.5), 0, 1),
             schedule_stride=checked("schedule.stride", sched.get("stride", 100), 1, integer=True),
         )
-        if cfg.eol < dataset.EXTEND_FLOOR:  # no ingested trace would cross it: evaluate would find no true EOL
-            raise ValueError(f"thresholds.eol {cfg.eol} is below {dataset.EXTEND_FLOOR}, the floor of every ingested trace")
+        # both are thresholds a trace must cross, and ingest extends every trace down to EXTEND_FLOOR only
+        for key, value in (("trigger", cfg.trigger), ("eol", cfg.eol)):
+            if value < dataset.EXTEND_FLOOR:
+                raise ValueError(f"thresholds.{key} {value} is below {dataset.EXTEND_FLOOR}, the floor of every trace")
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"invalid config {path}: {e}") from None
 
@@ -203,13 +205,6 @@ def with_fleet_fit(cfg: RunConfig) -> RunConfig:
     return replace(cfg, filter=decoded(cfg.output_dir / "fleet_fit.json", centred))
 
 
-def prediction_schedule(cfg: RunConfig, trace: dataset.NormalizedTrace) -> list[int]:
-    start = dataset.trigger_cycle(trace, cfg.trigger)
-    if start is None:
-        return []
-    return list(range(start, int(trace.cycles[-1]) + 1, cfg.schedule_stride))
-
-
 # --- commands ---
 
 def cmd_ingest(cfg: RunConfig) -> int:
@@ -263,8 +258,10 @@ def _simulate_cell(cfg: RunConfig, cell_id: str, trace: dataset.NormalizedTrace,
 
 
 def _simulate_and_write(cfg: RunConfig, cell_id: str, trace: dataset.NormalizedTrace) -> int:
-    """Write `sim/<cell_id>/`; the number of prediction cycles.  Module-level, so a pool worker can run it."""
-    schedule = prediction_schedule(cfg, trace)
+    """Write `sim/<cell_id>/` with predictions every `schedule.stride` cycles from the trigger crossing (none if the
+    trace never crosses it); the number of prediction cycles.  Module-level, so a pool worker can run it."""
+    start = dataset.trigger_cycle(trace, cfg.trigger)
+    schedule = [] if start is None else list(range(start, int(trace.cycles[-1]) + 1, cfg.schedule_stride))
     write_dir(cfg.output_dir / "sim", cell_id, _simulate_cell(cfg, cell_id, trace, schedule))
     return len(schedule)
 
@@ -352,16 +349,15 @@ def eol_table(text: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def prediction_columns(text: str, eol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The integer `at_cycle` and numeric `rul_median` columns of a `predictions.json` written by
+    """The `at_cycle` (`dataset.checked_cycles`) and numeric `rul_median` columns of a `predictions.json` written by
     simulate; each prediction must hold all four keys simulate writes, and be made at `eol`."""
     preds = [(p["at_cycle"], p["rul_median"], p["rul_quantiles"], p["eol_threshold"]) for p in json.loads(text)]
     if any(p[3] != eol for p in preds):
         raise ValueError(f"made at an eol_threshold other than thresholds.eol {eol} (stale simulate output?)")
-    at_cycle, rul_median = np.array([p[0] for p in preds]), np.array([p[1] for p in preds])
-    typed = at_cycle.dtype.kind == "i" and rul_median.dtype.kind in "if" and at_cycle.ndim == rul_median.ndim == 1
-    if preds and not typed:
-        raise ValueError(f"at_cycle must be integers and rul_median numbers, got {at_cycle.dtype}, {rul_median.dtype}")
-    return at_cycle, rul_median.astype(float)
+    rul_median = [p[1] for p in preds]
+    if not dataset.typed_items(rul_median, {int, float}):
+        raise ValueError("rul_median must be numbers")
+    return dataset.checked_cycles("at_cycle", [p[0] for p in preds]), np.array(rul_median, dtype=float)
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:

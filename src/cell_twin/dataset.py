@@ -37,12 +37,14 @@ def typed_items(values, types: set) -> bool:
 
 
 def checked_cycles(cell_id: str, cycles) -> np.ndarray:
-    """`cycles` as an array if they are integers, strictly increasing and starting at >= 1; else DataError."""
-    arr = np.asarray(cycles)
+    """`cycles` as an integer array if they are integers, strictly increasing and starting at >= 1 (an empty list
+    passes); else DataError naming the first cycle that does not increase.  The package's one rule for cycles."""
+    arr = np.asarray(cycles) if len(cycles) else np.zeros(0, dtype=int)
     if arr.ndim != 1 or arr.dtype.kind != "i" or not typed_items(cycles, {int}):
         raise DataError(f"{cell_id}: cycles must be one list of integers")
-    if np.any(np.diff(arr) <= 0):
-        raise DataError(f"{cell_id}: cycles not strictly increasing")
+    down = np.flatnonzero(np.diff(arr) <= 0)
+    if len(down):
+        raise DataError(f"{cell_id}: cycles not strictly increasing: cycle {arr[down[0] + 1]} after {arr[down[0]]}")
     if len(arr) and arr[0] < 1:
         raise DataError(f"{cell_id}: cycle {arr[0]} < 1; cycles start at 1")
     return arr
@@ -88,8 +90,8 @@ class NormalizedTrace:
     def __post_init__(self):
         object.__setattr__(self, "cycles", checked_cycles(self.cell_id, self.cycles))
         q = np.asarray(self.q, dtype=float)
-        if len(q) != len(self.cycles) or not np.all(np.isfinite(q)) or not typed_items(self.q, {int, float}):
-            raise DataError(f"{self.cell_id}: need one finite normalized capacity (a number) per cycle")
+        if not 0 < len(q) == len(self.cycles) or not np.all(np.isfinite(q)) or not typed_items(self.q, {int, float}):
+            raise DataError(f"{self.cell_id}: need cycles and one finite normalized capacity (a number) per cycle")
         object.__setattr__(self, "q", q)
         checked(f"{self.cell_id}: q0_ah", self.q0_ah, 0)
         if np.max(self.q) > 1.15:
@@ -155,16 +157,12 @@ def load_cells(path) -> list[CellRecord]:
 
     records = []
     for cell_id in sorted(rows_by_cell):
-        rows = sorted(rows_by_cell[cell_id])
-        cycles = [r[0] for r in rows]
-        if len(set(cycles)) != len(cycles):
-            dup = next(c for i, c in enumerate(cycles[1:], 1) if c == cycles[i - 1])
-            raise DataError(f"cell {cell_id!r}: cycle {dup} appears more than once")
+        rows = sorted(rows_by_cell[cell_id])  # a repeated cycle stays next to itself: checked_cycles names it
         records.append(
             CellRecord(
                 cell_id=cell_id,
                 split=Split(split_by_cell[cell_id]),
-                cycles=np.array(cycles, dtype=int),
+                cycles=[r[0] for r in rows],
                 capacity_ah=np.array([r[1] for r in rows], dtype=float),
             )
         )

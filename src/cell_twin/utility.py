@@ -32,8 +32,7 @@ class ExpUtility:
     tau_coef: float
 
     def value(self, v) -> float | np.ndarray:
-        out = self._phi(np.clip(v, self.l_u, self.h_u))
-        return out if np.ndim(out) else float(out)
+        return self._phi(np.clip(v, self.l_u, self.h_u))
 
     def _phi(self, v) -> np.ndarray:
         return self.sigma_coef - self.tau_coef * np.exp(-np.asarray(v, dtype=float) / self.r)
@@ -96,8 +95,7 @@ def combined_utility(specs: list[AttributeSpec], phis: list) -> float | np.ndarr
     """
     if len(specs) != len(phis):
         raise CellTwinError(f"{len(specs)} specs vs {len(phis)} values")
-    total = sum(s.weight * phi for s, phi in zip(specs, phis))
-    return total if np.ndim(total) else float(total)
+    return sum(s.weight * phi for s, phi in zip(specs, phis))
 
 
 def default_attribute_specs() -> list[AttributeSpec]:

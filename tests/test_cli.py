@@ -505,14 +505,17 @@ def truncate(pattern: str, at_line: bool = False):
     return edit
 
 
+def edit_predictions(edit):
+    """An output edit that rewrites test1_c000's list of predictions as `edit(predictions)`."""
+    def apply(out: Path):
+        path = out / "sim" / "test1_c000" / "predictions.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return apply
+
+
 def set_prediction(key, value):
     """An output edit that sets `key` of test1_c000's first prediction to `value`."""
-    def edit(out: Path):
-        path = out / "sim" / "test1_c000" / "predictions.json"
-        preds = json.loads(path.read_text())
-        preds[0][key] = value
-        path.write_text(json.dumps(preds))
-    return edit
+    return edit_predictions(lambda preds: [{**preds[0], key: value}, *preds[1:]])
 
 
 def set_key(name, key, value):
@@ -598,6 +601,9 @@ BAD_INPUTS = {
     "thresholds_list": ("ingest", {"thresholds": ["eol"]}, None, None, 2, "thresholds must be an object"),
     # ingest extends each trace down to q = 0.5 only, so no trace crosses a lower eol
     "eol_below_floor": ("ingest", {"thresholds": {"eol": 0.45}}, None, None, 2, "thresholds.eol 0.45 is below 0.5"),
+    "trigger_below_floor": (
+        "ingest", {"thresholds": {"trigger": 0.45}}, None, None, 2, "thresholds.trigger 0.45 is below 0.5"
+    ),
     "filter_pairs": ("ingest", {"filter": [["n_particles", 100]]}, None, None, 2, "filter must be an object"),
     "utilities_object": ("ingest", {"utilities": {}}, None, None, 2, "utilities must be a list"),
     "cycles_object": ("ingest", {"schedule": {"cycles": {}}}, None, None, 2, "unknown config keys: schedule.cycles"),
@@ -630,6 +636,7 @@ BAD_INPUTS = {
     "cell_too_short": ("ingest", {}, ("train_c001", lambda rows: rows[:20]), None, 3, "train_c001"),
     "cycle_negative": ("ingest", {}, ("train_c000", first_cycle(-1)), None, 3, "train_c000"),
     "cycle_zero": ("ingest", {}, ("train_c000", first_cycle(0)), None, 3, "train_c000"),
+    "cycle_int_10e23": ("ingest", {}, ("train_c000", first_cycle(10**23)), None, 3, "train_c000"),
     "fit_truncated": (
         "simulate", {}, None, lambda out: cut_to(out / "fleet_fit.json", 40), 3, "fleet_fit.json"
     ),
@@ -702,6 +709,17 @@ BAD_INPUTS = {
         "evaluate", {}, None, set_prediction("at_cycle", 369.5), 3, "predictions.json"
     ),
     "predictions_rul_str": ("evaluate", {}, None, set_prediction("rul_median", "x"), 3, "predictions.json"),
+    # evaluate scores at_cycle[0] as the first prediction: the cycles follow the cells/ cycle rule
+    "predictions_cycle_repeated": (
+        "evaluate", {}, None, edit_predictions(lambda preds: [*preds, preds[0]]), 3, "predictions.json"
+    ),
+    "predictions_cycles_reversed": (
+        "evaluate", {}, None, edit_predictions(lambda preds: preds[::-1]), 3, "predictions.json"
+    ),
+    "predictions_cycle_true": (
+        "evaluate", {}, None, edit_predictions(lambda preds: [preds[0], {**preds[1], "at_cycle": True}, *preds[2:]]),
+        3, "predictions.json",
+    ),
     # simulate made the predictions at eol 0.5
     "evaluate_eol_differs": ("evaluate", {"thresholds": {"eol": 0.6}}, None, None, 3, "predictions.json"),
     "manifest_missing": ("calibrate", {}, None, delete("manifest.json"), 3, "manifest.json: missing"),
@@ -993,18 +1011,20 @@ class TestPredictionColumns:
 
     def test_empty(self):
         at_cycle, rul_median = prediction_columns("[]", 0.5)
-        assert len(at_cycle) == len(rul_median) == 0
+        assert len(at_cycle) == len(rul_median) == 0 and at_cycle.dtype.kind == "i"
 
     @pytest.mark.parametrize(
         "edit",
         [
-            {"at_cycle": 369.5}, {"at_cycle": "12"}, {"at_cycle": None},
-            {"at_cycle": [300]}, {"rul_median": "x"}, {"rul_median": None},
-            {"rul_quantiles": None, "drop": "rul_quantiles"}, {"drop": "eol_threshold"}, {"drop": "at_cycle"},
+            {"at_cycle": 369.5}, {"at_cycle": "12"}, {"at_cycle": None}, {"at_cycle": [300]}, {"at_cycle": True},
+            {}, {"at_cycle": 200}, {"rul_median": "x"}, {"rul_median": None},
+            {"rul_median": True}, {"rul_quantiles": None, "drop": "rul_quantiles"}, {"drop": "eol_threshold"},
+            {"drop": "at_cycle"},
         ],
         ids=[
-            "cycle_float", "cycle_str", "cycle_null", "cycle_list", "rul_str", "rul_null",
-            "no_quantiles", "no_threshold", "no_cycle",
+            "cycle_float", "cycle_str", "cycle_null", "cycle_list", "cycle_true", "cycle_repeated",
+            "cycle_decreasing", "rul_str", "rul_null", "rul_true", "no_quantiles", "no_threshold",
+            "no_cycle",
         ],
     )
     def test_mistyped_or_missing_is_data_error(self, tmp_path, edit):

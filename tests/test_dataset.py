@@ -61,7 +61,7 @@ class TestLoadCells:
 
     def test_duplicate_cycle(self, tmp_path):
         p = write_csv(tmp_path, "b1c0,train,1,1.07,1.1\nb1c0,train,2,1.06,1.1\nb1c0,train,2,1.05,1.1\n")
-        with pytest.raises(DataError, match=r"cycle 2 appears more than once"):
+        with pytest.raises(DataError, match=r"b1c0: cycles not strictly increasing: cycle 2 after 2"):
             load_cells(p)
 
     def test_malformed_row(self, tmp_path):

@@ -17,7 +17,6 @@ from .utility import (
     combined_utility,
     default_attribute_specs,
     make_exp_utility,
-    mtbc,
 )
 
 __version__ = "0.1.0"

@@ -23,7 +23,6 @@ import multiprocessing
 import os
 import shutil
 import sys
-import tempfile
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
@@ -118,6 +117,8 @@ def load_config(path, out_override: str | None = None) -> RunConfig:
         for key, value in (("trigger", cfg.trigger), ("eol", cfg.eol)):
             if value < dataset.EXTEND_FLOOR:
                 raise ValueError(f"thresholds.{key} {value} is below {dataset.EXTEND_FLOOR}, the floor of every trace")
+        if cfg.trigger < cfg.eol:  # every prediction would come after the end of life it predicts
+            raise ValueError(f"thresholds.trigger {cfg.trigger} is below thresholds.eol {cfg.eol}")
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"invalid config {path}: {e}") from None
 
@@ -130,14 +131,13 @@ def load_config(path, out_override: str | None = None) -> RunConfig:
 
 def atomic_write_text(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp_")
+    tmp = path.parent / f".tmp_{os.getpid()}_{path.name}"  # `open` applies the umask to the file's mode
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
+        with open(tmp, "w", encoding="utf-8", newline="") as f:
             f.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 

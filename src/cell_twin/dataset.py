@@ -18,6 +18,8 @@ from .errors import DataError
 from .model import checked
 
 MAX_EXTENSION = 10  # x the last measured cycle; synthetic fleets need at most 0.4
+PEAK_WINDOW = 100   # `normalize` divides a cell by its peak over its first PEAK_WINDOW points
+EXTEND_TAIL = 30    # `extend_linear` fits its line through a trace's last EXTEND_TAIL points
 EXTEND_FLOOR = 0.5  # the q `extend_linear` extends a trace down to: no extended trace crosses a lower EOL threshold
 
 CSV_COLUMNS = ["cell_id", "split", "cycle", "discharge_capacity_ah", "nominal_capacity_ah"]
@@ -169,15 +171,13 @@ def load_cells(path) -> list[CellRecord]:
     return records
 
 
-def normalize(cell: CellRecord, window: int = 100) -> NormalizedTrace:
-    """Normalize capacity by the peak over the first `window` points.
+def normalize(cell: CellRecord) -> NormalizedTrace:
+    """Normalize capacity by the peak over the first PEAK_WINDOW points.
 
     LFP cells show an initial capacity rise, so the early-life peak
     rather than the cycle-1 value is used as the denominator.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    q0 = float(np.max(cell.capacity_ah[: min(window, len(cell.capacity_ah))]))
+    q0 = float(np.max(cell.capacity_ah[:PEAK_WINDOW]))
     return NormalizedTrace(
         cell_id=cell.cell_id,
         cycles=cell.cycles.copy(),
@@ -186,25 +186,25 @@ def normalize(cell: CellRecord, window: int = 100) -> NormalizedTrace:
     )
 
 
-def extend_linear(trace: NormalizedTrace, tail: int = 30, floor: float = EXTEND_FLOOR) -> NormalizedTrace:
-    """Extend a trace to `floor` on the OLS line through its last `tail` points.
+def extend_linear(trace: NormalizedTrace) -> NormalizedTrace:
+    """Extend a trace to EXTEND_FLOOR on the OLS line through its last EXTEND_TAIL points.
 
     Appends one synthetic point per cycle on the fitted line, stopping at
     (and including, clamped to the floor) the first cycle whose line value
-    drops to or below `floor`.  Raises DataError unless the line
+    drops to or below the floor.  Raises DataError unless the line
     falls and reaches the floor within MAX_EXTENSION x the last cycle.
     """
-    if len(trace.cycles) < tail:
-        raise DataError(f"{trace.cell_id}: need >= {tail} points to extend")
-    if trace.q[-1] <= floor:
-        raise DataError(f"{trace.cell_id}: last q {trace.q[-1]:.4f} <= floor {floor}")
-    ks = trace.cycles[-tail:].astype(float)
-    qs = trace.q[-tail:]
+    if len(trace.cycles) < EXTEND_TAIL:
+        raise DataError(f"{trace.cell_id}: need >= {EXTEND_TAIL} points to extend")
+    if trace.q[-1] <= EXTEND_FLOOR:
+        raise DataError(f"{trace.cell_id}: last q {trace.q[-1]:.4f} <= floor {EXTEND_FLOOR}")
+    ks = trace.cycles[-EXTEND_TAIL:].astype(float)
+    qs = trace.q[-EXTEND_TAIL:]
     slope, intercept = np.polyfit(ks, qs, 1)
     if not slope < 0:
         raise DataError(f"{trace.cell_id}: tail slope {slope:.3e} >= 0")
     last = int(trace.cycles[-1])
-    limit = floor + 1e-12  # tolerance so an exact-floor landing terminates
+    limit = EXTEND_FLOOR + 1e-12  # tolerance so an exact-floor landing terminates
     # cycles to the crossing, capped, plus two for rounding; the line is
     # monotone in k also in floating point, so the first value <= limit ends it
     span = min(max((limit - intercept) / slope - last, 0.0), MAX_EXTENSION * last)
@@ -212,13 +212,13 @@ def extend_linear(trace: NormalizedTrace, tail: int = 30, floor: float = EXTEND_
     vals = intercept + slope * new_cycles
     reached = vals <= limit
     if not reached[-1]:
-        msg = f"misses floor {floor} within {MAX_EXTENSION}x the measured life"
+        msg = f"misses floor {EXTEND_FLOOR} within {MAX_EXTENSION}x the measured life"
         raise DataError(f"{trace.cell_id}: tail slope {slope:.3e} {msg}")
     n = int(np.argmax(reached)) + 1
     return NormalizedTrace(
         cell_id=trace.cell_id,
         cycles=np.concatenate([trace.cycles, new_cycles[:n]]),
-        q=np.concatenate([trace.q, np.maximum(vals[:n], floor)]),
+        q=np.concatenate([trace.q, np.maximum(vals[:n], EXTEND_FLOOR)]),
         q0_ah=trace.q0_ah,
         extrapolated_from=last + 1,
     )

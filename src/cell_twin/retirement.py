@@ -1,8 +1,9 @@
 """Retirement-cycle optimization over the projected capacity trajectory.
 
 Builds a hybrid trajectory (measured capacity before the current cycle,
-the filter's projected median from it on), evaluates the combined utility
-at every candidate retirement cycle, and returns the earliest arg-max.
+the filter's projected median from it on), computes both attributes (total
+Ah and MTBC) and the combined utility at every candidate retirement cycle,
+and returns the earliest arg-max.
 The reading at the current cycle is not used: it fired the trigger, so it
 is selected low, and a noise dip there would move the optimum off it.  The
 candidate set is finite, so the scan is exhaustive by design.
@@ -19,7 +20,9 @@ from .dataset import NormalizedTrace
 from .errors import CellTwinError, DataError
 from .filtering import ParticleEnsemble
 from .prognosis import CapacityProjection, project
-from .utility import Attribute, AttributeSpec, combined_utility, mtbc
+from .utility import Attribute, AttributeSpec, combined_utility
+
+DISCHARGE_RATE_C = 4.0  # the fleet's discharge rate: MTBC = q / DISCHARGE_RATE_C hours, 0.25 h for a fresh cell
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,6 @@ def optimize_retirement(
     trigger_threshold: float = 0.95,
     retire_floor: float = 0.5,
     eol_threshold: float = 0.5,
-    discharge_rate_c: float = 4.0,
     proj: CapacityProjection | None = None,
 ) -> RetirementDecision:
     """Exhaustively evaluate the combined utility over candidate retirement cycles."""
@@ -113,7 +115,7 @@ def optimize_retirement(
 
     raws = [
         cum_ah[candidates - 1] if s.extractor is Attribute.TOTAL_AH
-        else mtbc(q[candidates - 1], discharge_rate_c)
+        else q[candidates - 1] / DISCHARGE_RATE_C  # mean time between charges, h
         for s in specs
     ]
     phis = [s.utility.value(v) for s, v in zip(specs, raws)]

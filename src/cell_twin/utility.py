@@ -77,16 +77,6 @@ def make_exp_utility(l_u: float, h_u: float, r: float) -> ExpUtility:
     return u
 
 
-def mtbc(q_at_xc: float, discharge_rate_c: float = 4.0) -> float:
-    """Mean time between charges: full-depth discharge duration in hours.
-
-    At the fleet's 4C discharge a fresh cell (q = 1) runs 0.25 h.
-    """
-    if discharge_rate_c <= 0:
-        raise ValueError("discharge rate must be positive")
-    return q_at_xc / discharge_rate_c
-
-
 def combined_utility(specs: list[AttributeSpec], phis: list) -> float | np.ndarray:
     """Weighted sum of per-attribute utilities (equal weights = plain average).
 

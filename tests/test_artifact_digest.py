@@ -40,3 +40,13 @@ def test_a_changed_file_changes_only_its_entry(tmp_path):
     _, after, entries_after = artifact_digest.digest(make_tree(tmp_path / "b", {**FILES, "sim/b/eol.csv": "3\n"}))
     assert before != after
     assert [name for name in entries_before if entries_before[name] != entries_after[name]] == ["sim"]
+
+
+def test_modes_lists_each_distinct_mode(tmp_path):
+    root = make_tree(tmp_path, FILES)
+    for rel in FILES:
+        (root / rel).chmod(0o644)
+    (root / "sim/a/eol.csv").chmod(0o600)
+    assert artifact_digest.modes(root) == ["0o600", "0o644"]
+    (root / "sim/a/eol.csv").chmod(0o644)
+    assert artifact_digest.modes(root) == ["0o644"]

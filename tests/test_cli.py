@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import warnings
@@ -372,7 +373,7 @@ class TestRetire:
         ens = filtering.assimilate(filtering.init(fcfg), trace, dec["current_cycle"], fcfg.noise)
         proj = project(ens, dec["current_cycle"], eol_threshold=loaded.eol)
         (cycles, combined, phi, raw), best = reference_scan(
-            trace, proj, loaded.utilities, dec["current_cycle"], loaded.retire_floor, 4.0  # retire scores MTBC at 4C
+            trace, proj, loaded.utilities, dec["current_cycle"], loaded.retire_floor
         )
         columns = [cycles, combined, *phi.values(), *raw.values()]
         assert curve[1:] == [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
@@ -604,6 +605,11 @@ BAD_INPUTS = {
     "trigger_below_floor": (
         "ingest", {"thresholds": {"trigger": 0.45}}, None, None, 2, "thresholds.trigger 0.45 is below 0.5"
     ),
+    # a trigger below eol fires after the end of life every prediction is for
+    "trigger_below_eol": (
+        "ingest", {"thresholds": {"trigger": 0.6, "eol": 0.7}}, None, None, 2,
+        "thresholds.trigger 0.6 is below thresholds.eol 0.7",
+    ),
     "filter_pairs": ("ingest", {"filter": [["n_particles", 100]]}, None, None, 2, "filter must be an object"),
     "utilities_object": ("ingest", {"utilities": {}}, None, None, 2, "utilities must be a list"),
     "cycles_object": ("ingest", {"schedule": {"cycles": {}}}, None, None, 2, "unknown config keys: schedule.cycles"),
@@ -786,7 +792,7 @@ def small_fleet_rows(tmp_path_factory):
     return header, rows
 
 
-CSV_TAIL = 30  # the tail `dataset.extend_linear` fits when `ingest` runs it
+CSV_TAIL = cell_twin.dataset.EXTEND_TAIL  # the tail `dataset.extend_linear` fits when `ingest` runs it
 
 
 @st.composite
@@ -1076,6 +1082,22 @@ class TestWriteDir:
         (tmp_path / "d" / "stale.csv").write_text("x\n")
         write_dir(tmp_path, "d", {"a.json": "[]", "b.csv": {"k": np.arange(2)}})
         assert tree_bytes(tmp_path) == {"d/a.json": b"[]", "d/b.csv": b"k\n0\n1\n"}
+
+    def test_files_take_the_umask_mode(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            write_dir(tmp_path, "d", {"a.json": "[]", "b.csv": {"k": np.arange(2)}})
+            cli.atomic_write_text(tmp_path / "manifest.json", "{}")
+        finally:
+            os.umask(old)
+        files = ["d/a.json", "d/b.csv", "manifest.json"]
+        assert {f: stat.S_IMODE((tmp_path / f).stat().st_mode) for f in files} == dict.fromkeys(files, 0o640)
+        assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == ["d", *files]  # no temporary left
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            cli.atomic_write_text(tmp_path / "a.json", "\ud800")  # a lone surrogate has no UTF-8 encoding
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("name", ["", ".", "..", "../x", "a/b", "a\\b", "a\0b"])
     @pytest.mark.parametrize("as_file", [False, True])

@@ -4,7 +4,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cell_twin import CellRecord, NormalizedTrace, Split, extend_linear, load_cells, normalize, trigger_cycle
-from cell_twin.dataset import MAX_EXTENSION
+from cell_twin.dataset import EXTEND_FLOOR, EXTEND_TAIL, MAX_EXTENSION
 from cell_twin.errors import DataError
 
 HEADER = "cell_id,split,cycle,discharge_capacity_ah,nominal_capacity_ah\n"
@@ -102,7 +102,7 @@ class TestNormalize:
 
     def test_arithmetic(self):
         rec = CellRecord("c", Split.TRAIN, np.arange(1, 4), np.array([1.05, 1.10, 1.08]))
-        tr = normalize(rec, window=100)
+        tr = normalize(rec)
         assert tr.q0_ah == 1.10
         assert np.allclose(tr.q, [1.05 / 1.1, 1.0, 1.08 / 1.1])
 
@@ -110,7 +110,7 @@ class TestNormalize:
         rng = np.random.default_rng(7)
         caps = 1.05 + 0.05 * np.sin(np.linspace(0, 3, 200)) + rng.normal(0, 1e-3, 200)
         rec = CellRecord("c", Split.TRAIN, np.arange(1, 201), caps)
-        tr = normalize(rec, window=100)
+        tr = normalize(rec)
         assert tr.q0_ah == max(caps[:100])
         assert np.max(tr.q[:100]) == pytest.approx(1.0)
 
@@ -131,7 +131,7 @@ class TestExtendLinear:
 
     def test_reaches_floor_at_predicted_cycle(self):
         tr = self.linear_trace()  # q = 0.9 - 0.001*(k - 500); hits 0.5 at k = 900
-        ext = extend_linear(tr, tail=30, floor=0.5)
+        ext = extend_linear(tr)
         assert ext.extrapolated_from == 501
         assert ext.cycles[-1] == 900
         assert ext.q[-1] == pytest.approx(0.5)
@@ -145,7 +145,7 @@ class TestExtendLinear:
 
     def test_floor_is_min(self):
         tr = self.linear_trace()
-        ext = extend_linear(tr, floor=0.5)
+        ext = extend_linear(tr)
         assert np.min(ext.q) >= 0.5
 
     def test_nondecreasing_tail(self):
@@ -163,23 +163,21 @@ class TestExtendLinear:
     @given(
         st.lists(st.integers(1, 4), min_size=29, max_size=60),
         st.integers(1, 400),
-        st.integers(2, 30),
         st.floats(0.0, 0.3),
-        st.floats(0.3, 0.8),
         st.floats(0.0, 0.4),
         st.floats(0.0, 0.01),
         st.integers(0, 2**32 - 1),
     )
-    def test_equals_loop(self, gaps, first, tail, drop, floor, height, noise, seed):
+    def test_equals_loop(self, gaps, first, drop, height, noise, seed):
         ks = first + np.concatenate([[0], np.cumsum(gaps)])
         rng = np.random.default_rng(seed)
-        qs = floor + height + drop * (ks[-1] - ks) / (ks[-1] - ks[0]) + rng.normal(0.0, noise, len(ks))
+        qs = EXTEND_FLOOR + height + drop * (ks[-1] - ks) / (ks[-1] - ks[0]) + rng.normal(0.0, noise, len(ks))
         qs = np.minimum(qs, 1.14)
-        assume(qs[-1] > floor)
+        assume(qs[-1] > EXTEND_FLOOR)
         tr = NormalizedTrace("c", ks, qs, 1.1)
-        expect = loop_extension(tr, tail, floor, MAX_EXTENSION * int(ks[-1]) + 3)
+        expect = loop_extension(tr, EXTEND_TAIL, EXTEND_FLOOR, MAX_EXTENSION * int(ks[-1]) + 3)
         try:
-            ext = extend_linear(tr, tail=tail, floor=floor)
+            ext = extend_linear(tr)
         except DataError as e:
             assert "tail slope" in str(e)
             assert expect is None or len(expect[0]) > MAX_EXTENSION * ks[-1]
@@ -190,17 +188,18 @@ class TestExtendLinear:
         assert ext.q[len(ks):].tobytes() == np.array(q).tobytes()
 
     def test_already_below_floor(self):
-        tr = self.linear_trace()
-        with pytest.raises(DataError, match=r"last q .* <= floor 0.95"):
-            extend_linear(tr, floor=0.95)
+        tr = self.linear_trace(start_q=0.5)  # ends at q = 0.5, the floor
+        assert tr.q[-1] == 0.5
+        with pytest.raises(DataError, match=r"last q 0.5000 <= floor 0.5"):
+            extend_linear(tr)
 
     def test_steep_slope_single_point(self):
         # last point just above floor, steep decline: exactly one appended point
         ks = np.arange(1, 41)
-        qs = 1.0 - 0.012 * (ks - 1)
+        qs = 0.975 - 0.012 * (ks - 1)
         tr = NormalizedTrace("c", ks, qs, 1.1)
-        assert tr.q[-1] > 0.525
-        ext = extend_linear(tr, tail=30, floor=0.525)
+        assert tr.q[-1] > 0.5
+        ext = extend_linear(tr)
         n_new = len(ext.q) - len(tr.q)
         # brute-force line walk oracle
         slope, intercept = np.polyfit(ks[-30:].astype(float), qs[-30:], 1)
@@ -208,7 +207,7 @@ class TestExtendLinear:
         while True:
             k += 1
             expect += 1
-            if intercept + slope * k <= 0.525:
+            if intercept + slope * k <= 0.5:
                 break
         assert n_new == expect == 1
 

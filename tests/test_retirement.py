@@ -11,7 +11,7 @@ from cell_twin import (
 )
 from cell_twin.errors import CellTwinError, DataError
 from cell_twin.retirement import UtilityPoint, _hybrid_trajectory
-from cell_twin.utility import Attribute, mtbc
+from cell_twin.utility import Attribute
 from test_prognosis import make_ensemble
 
 
@@ -38,9 +38,9 @@ def specs_for(l_ah, h_ah, r_ah=200.0, l_mtbc=0.21, h_mtbc=0.25, r_mtbc=0.015):
     ]
 
 
-def reference_scan(trace, proj, specs, current, floor, discharge_rate_c):
+def reference_scan(trace, proj, specs, current, floor):
     """Per-candidate scalar scan: the columns (candidates, combined, phi, raw) and the best
-    (cycle, utility), earliest tie wins."""
+    (cycle, utility), earliest tie wins.  MTBC is q at the candidate over the fleet's 4C discharge."""
     candidates, _ = candidate_cycles(current, proj, floor)
     q = _hybrid_trajectory(trace, proj, current)
     cum_ah = np.cumsum(q) * trace.q0_ah
@@ -52,7 +52,7 @@ def reference_scan(trace, proj, specs, current, floor, discharge_rate_c):
             if s.extractor is Attribute.TOTAL_AH:
                 v = float(cum_ah[x - 1])
             else:
-                v = mtbc(float(q[x - 1]), discharge_rate_c)
+                v = float(q[x - 1]) / 4.0
             u = float(s.utility.value(v))
             raw[s.name].append(v)
             phi[s.name].append(u)
@@ -218,16 +218,15 @@ class TestMatchesScalarReference:
     }
 
     @pytest.mark.parametrize("grid", sorted(GRIDS))
-    @pytest.mark.parametrize("current,rate", [(300, 4.0), (330, 2.5)])
-    def test_exactly_equal(self, grid, current, rate):
+    # the ids keep the names the rows had when the discharge rate was an argument; both score MTBC at 4C
+    @pytest.mark.parametrize("current", [pytest.param(300, id="300-4.0"), pytest.param(330, id="330-2.5")])
+    def test_exactly_equal(self, grid, current):
         trace = fading_trace()
         ens = make_ensemble([-15.77, -15.5, -16.0], [5.45, 5.2, 5.7], last_cycle=current)
         proj = project(ens, current, 0.5)
         specs = self.GRIDS[grid]
-        decision = optimize_retirement(
-            trace, ens, specs, current=current, retire_floor=0.5, discharge_rate_c=rate, proj=proj
-        )
-        (candidates, combined, phi, raw), best = reference_scan(trace, proj, specs, current, 0.5, rate)
+        decision = optimize_retirement(trace, ens, specs, current=current, retire_floor=0.5, proj=proj)
+        (candidates, combined, phi, raw), best = reference_scan(trace, proj, specs, current, 0.5)
         assert np.array_equal(decision.candidates, candidates)
         assert np.array_equal(decision.combined, combined)
         assert list(decision.phi) == list(decision.raw) == [s.name for s in specs]  # utility_curve.csv's order

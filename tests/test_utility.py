@@ -8,7 +8,6 @@ from cell_twin import (
     combined_utility,
     default_attribute_specs,
     make_exp_utility,
-    mtbc,
 )
 from cell_twin.errors import CellTwinError, ConfigError
 from cell_twin.utility import ANCHOR_TOL, Attribute
@@ -82,17 +81,6 @@ class TestEvalUtility:
         grid = np.linspace(0.15, 0.30, 200)
         vals = np.array([u.value(v) for v in grid])
         assert np.all(np.diff(vals) >= 0)
-
-
-class TestMtbc:
-    def test_fresh_cell_4c(self):
-        assert mtbc(1.0, 4.0) == pytest.approx(0.25)
-
-    def test_faded_cell_bound(self):
-        assert mtbc(0.84, 4.0) == pytest.approx(0.21)
-
-    def test_ratio(self):
-        assert mtbc(0.5, 2.0) == pytest.approx(0.25)
 
 
 class TestCombinedUtility:

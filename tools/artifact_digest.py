@@ -8,7 +8,8 @@ combined hash: sha256 over the sorted lines `path\\0sha256(file)\\n`,
 with paths relative to the output directory.  Then one line per
 top-level entry of the output tree (`cells`, `sim`, `retire`, ...): its
 name, its file count and the same hash over its own lines, so a changed
-hash shows which stage changed.
+hash shows which stage changed.  A last `modes:` line lists the distinct
+permission modes of those files (`modes: 0o644`); it is part of no hash.
 
     python3 tools/artifact_digest.py [CHECKOUT]
 
@@ -25,6 +26,7 @@ import contextlib
 import hashlib
 import io
 import json
+import stat
 import sys
 import tempfile
 from pathlib import Path
@@ -90,17 +92,25 @@ def digest(root: Path) -> tuple[int, str, dict[str, tuple[int, str]]]:
     return (*count_and_hash([line for lines in entries.values() for line in lines]), per_entry)
 
 
+def modes(root: Path) -> list[str]:
+    """The distinct permission modes of the files under `root`, in octal, sorted."""
+    return sorted({oct(stat.S_IMODE(p.stat().st_mode)) for p in root.rglob("*") if p.is_file()})
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", nargs="?", type=Path, default=Path(__file__).resolve().parent.parent)
     args = parser.parse_args()
     import_package(args.checkout.resolve())
     with tempfile.TemporaryDirectory(prefix="artifact_digest_") as tmp:
-        n_files, combined, per_entry = digest(run_pipeline(Path(tmp)))
+        out = run_pipeline(Path(tmp))
+        n_files, combined, per_entry = digest(out)
+        file_modes = modes(out)
     print(f"files: {n_files}")
     print(f"sha256: {combined}")
     for name, (n, h) in per_entry.items():
         print(f"{name}: {n} files, sha256 {h}")
+    print("modes: " + " ".join(file_modes))
 
 
 if __name__ == "__main__":

@@ -68,7 +68,7 @@ def load_config(path, out_override: str | None = None) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as f:
             raw = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: JSONDecodeError and UnicodeDecodeError
         raise ConfigError(f"cannot read config {path}: {e}") from None
 
     try:

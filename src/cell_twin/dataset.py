@@ -132,30 +132,33 @@ def load_cells(path) -> list[CellRecord]:
     split_names = {s.value for s in Split}
     rows_by_cell: dict[str, list[tuple[int, float]]] = {}
     split_by_cell: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        if header != CSV_COLUMNS:
-            raise DataError(f"{path}: bad header {header!r}, expected {CSV_COLUMNS}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(CSV_COLUMNS):
-                raise DataError(f"{path}:{lineno}: expected {len(CSV_COLUMNS)} columns, got {len(row)}")
-            cell_id = row[0].strip()
-            try:
-                cycle = int(row[2])
-                cap = float(row[3])
-            except ValueError as e:
-                raise DataError(f"{path}:{lineno}: non-numeric field ({e})") from None
-            split_name = row[1].strip()
-            if split_name not in split_names:
-                raise DataError(f"{path}:{lineno}: unknown split {split_name!r}")
-            prev = split_by_cell.setdefault(cell_id, split_name)
-            if prev != split_name:
-                raise DataError(f"{path}:{lineno}: cell {cell_id!r} has conflicting splits")
-            rows_by_cell.setdefault(cell_id, []).append((cycle, cap))
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            reader = csv.reader(f)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            header = [h.strip() for h in header]
+            if header != CSV_COLUMNS:
+                raise DataError(f"{path}: bad header {header!r}, expected {CSV_COLUMNS}")
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(CSV_COLUMNS):
+                    raise DataError(f"{path}:{lineno}: expected {len(CSV_COLUMNS)} columns, got {len(row)}")
+                cell_id = row[0].strip()
+                try:
+                    cycle = int(row[2])
+                    cap = float(row[3])
+                except ValueError as e:
+                    raise DataError(f"{path}:{lineno}: non-numeric field ({e})") from None
+                split_name = row[1].strip()
+                if split_name not in split_names:
+                    raise DataError(f"{path}:{lineno}: unknown split {split_name!r}")
+                prev = split_by_cell.setdefault(cell_id, split_name)
+                if prev != split_name:
+                    raise DataError(f"{path}:{lineno}: cell {cell_id!r} has conflicting splits")
+                rows_by_cell.setdefault(cell_id, []).append((cycle, cap))
+    except (UnicodeDecodeError, csv.Error) as e:  # not UTF-8, or a field past csv's size limit
+        raise DataError(f"{path}: {e}") from None
 
     records = []
     for cell_id in sorted(rows_by_cell):

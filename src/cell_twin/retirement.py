@@ -1,12 +1,12 @@
 """Retirement-cycle optimization over the projected capacity trajectory.
 
-Builds a hybrid trajectory (measured capacity before the current cycle,
-the filter's projected median from it on), computes both attributes (total
-Ah and MTBC) and the combined utility at every candidate retirement cycle,
-and returns the earliest arg-max.
-The reading at the current cycle is not used: it fired the trigger, so it
-is selected low, and a noise dip there would move the optimum off it.  The
-candidate set is finite, so the scan is exhaustive by design.
+Scans only the candidate window, from the current cycle to the projected
+median's floor crossing: total Ah is the cumulative sum of the measured q
+before the current cycle followed by the filter's projected median over the
+window, and MTBC is that median over the discharge rate.  Returns the
+earliest arg-max of the combined utility.  The reading at the current cycle
+is not used: it fired the trigger, so it is selected low, and a noise dip
+there would move the optimum off it.  The scan is exhaustive by design.
 """
 
 from __future__ import annotations
@@ -62,28 +62,13 @@ def candidate_cycles(current: int, proj: CapacityProjection, floor: float) -> tu
     """
     if current < proj.from_cycle:
         raise ValueError("current cycle precedes the projection start")
-    cycles = proj.cycles
-    below = np.flatnonzero(proj.median_q <= floor)
-    if len(below):
-        end = int(cycles[below[0]])
-        truncated = False
-    else:
-        end = proj.horizon_cycle
-        truncated = True
+    below = proj.median_q <= floor
+    first = int(np.argmax(below))  # 0 when nothing is below
+    truncated = not below[first]
+    end = proj.horizon_cycle if truncated else proj.from_cycle + first
     if end < current:
         raise CellTwinError(f"projected median already at floor {floor} before cycle {current}")
     return np.arange(current, end + 1), truncated
-
-
-def _hybrid_trajectory(trace: NormalizedTrace, proj: CapacityProjection, current: int) -> np.ndarray:
-    """q indexed by cycle (entry i is cycle i+1): measured before `current`, projected median from it on."""
-    measured_cycles = trace.cycles[trace.cycles <= current]
-    if len(measured_cycles) == 0 or measured_cycles[0] != 1 or not np.all(np.diff(measured_cycles) == 1):
-        raise DataError(f"{trace.cell_id}: measured cycles must cover 1..{current} contiguously")
-    q = np.empty(proj.horizon_cycle)
-    q[:current - 1] = trace.q[:current - 1]
-    q[current - 1:] = proj.median_q[current - proj.from_cycle:]
-    return q
 
 
 def optimize_retirement(
@@ -99,10 +84,10 @@ def optimize_retirement(
     """Exhaustively evaluate the combined utility over candidate retirement cycles."""
     if not specs:
         raise CellTwinError("no attribute specs to combine")
-    idx = np.flatnonzero(trace.cycles == current)
-    if len(idx) == 0:
+    idx = int(np.searchsorted(trace.cycles, current))
+    if idx == len(trace.cycles) or trace.cycles[idx] != current:
         raise DataError(f"{trace.cell_id}: no measurement at cycle {current}")
-    q_now = float(trace.q[idx[0]])
+    q_now = float(trace.q[idx])
     if q_now > trigger_threshold:
         raise CellTwinError(
             f"{trace.cell_id}: q at cycle {current} is {q_now:.4f} > trigger {trigger_threshold}"
@@ -110,12 +95,17 @@ def optimize_retirement(
     if proj is None:
         proj = project(ens, from_cycle=current, eol_threshold=eol_threshold)
     candidates, truncated = candidate_cycles(current, proj, retire_floor)
-    q = _hybrid_trajectory(trace, proj, current)
-    cum_ah = np.cumsum(q) * trace.q0_ah
+    # cycles are strictly increasing integers >= 1, so cycle `current` at index current - 1 means 1..current
+    if idx != current - 1:
+        raise DataError(f"{trace.cell_id}: measured cycles must cover 1..{current} contiguously")
+    start = current - proj.from_cycle
+    q = proj.median_q[start:start + len(candidates)]
+    # cumsum is sequential, so each sum is the one over the whole trajectory up to that candidate
+    total_ah = np.cumsum(np.concatenate([trace.q[:current - 1], q]))[current - 1:] * trace.q0_ah
 
     raws = [
-        cum_ah[candidates - 1] if s.extractor is Attribute.TOTAL_AH
-        else q[candidates - 1] / DISCHARGE_RATE_C  # mean time between charges, h
+        total_ah if s.extractor is Attribute.TOTAL_AH
+        else q / DISCHARGE_RATE_C  # mean time between charges, h
         for s in specs
     ]
     phis = [s.utility.value(v) for s, v in zip(specs, raws)]

@@ -118,6 +118,25 @@ class TestIngest:
         assert run("ingest", cfg) == 2
         assert capsys.readouterr().err == "config error: unknown config keys: alpha, zeta\n"
 
+    def test_config_not_utf8_config_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"dataset": "x\xff"}')
+        assert main(["ingest", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: cannot read config {path}: 'utf-8' codec")
+
+    # a byte that is not UTF-8, and a field one character past csv's default limit of 131,072
+    @pytest.mark.parametrize("row", [b"train_c000,train,9999,0.9\xff,1.1\n", b"train_c000," + b"x" * 131_073 + b",9,1,1\n"],
+                             ids=["not_utf8", "field_over_limit"])
+    def test_unreadable_csv_data_error(self, tmp_path, capsys, row):
+        cfg, out = make_config(tmp_path)
+        data = tmp_path / "fleet.csv"
+        data.write_bytes(data.read_bytes() + row)
+        assert run("ingest", cfg) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"data error: {data}: ")
+        assert not (out / "cells").exists()
+
     def test_workers_key_still_accepted(self, tmp_path):
         cfg, out = make_config(tmp_path, workers=2)
         assert run("ingest", cfg) == 0

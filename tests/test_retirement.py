@@ -10,7 +10,7 @@ from cell_twin import (
     project,
 )
 from cell_twin.errors import CellTwinError, DataError
-from cell_twin.retirement import UtilityPoint, _hybrid_trajectory
+from cell_twin.retirement import UtilityPoint
 from cell_twin.utility import Attribute
 from test_prognosis import make_ensemble
 
@@ -40,9 +40,10 @@ def specs_for(l_ah, h_ah, r_ah=200.0, l_mtbc=0.21, h_mtbc=0.25, r_mtbc=0.015):
 
 def reference_scan(trace, proj, specs, current, floor):
     """Per-candidate scalar scan: the columns (candidates, combined, phi, raw) and the best
-    (cycle, utility), earliest tie wins.  MTBC is q at the candidate over the fleet's 4C discharge."""
+    (cycle, utility), earliest tie wins.  q is the measured q before `current` and the projected median from it on,
+    to the horizon; MTBC is q at the candidate over the fleet's 4C discharge."""
     candidates, _ = candidate_cycles(current, proj, floor)
-    q = _hybrid_trajectory(trace, proj, current)
+    q = np.concatenate([trace.q[:current - 1], proj.median_q[current - proj.from_cycle:]])
     cum_ah = np.cumsum(q) * trace.q0_ah
     combined, phi, raw = [], {s.name: [] for s in specs}, {s.name: [] for s in specs}
     best = None
@@ -111,12 +112,25 @@ class TestOptimizeRetirement:
             optimize_retirement(trace, ens, [], current=300)
 
     def test_gap_in_measured_prefix_rejected(self):
-        # total Ah sums every cycle up to a candidate, so a missing cycle cannot be scanned
+        # total Ah sums every cycle up to a candidate, so a missing cycle before `current` cannot be scanned;
+        # the scan reads no measured cycle after `current`, so a gap there changes nothing
         trace = fading_trace()
-        gappy = NormalizedTrace("c", np.delete(trace.cycles, 10), np.delete(trace.q, 10), trace.q0_ah)
-        ens = make_ensemble([-15.77], [5.45], last_cycle=300)
-        with pytest.raises(DataError, match=r"c: measured cycles must cover 1..300 contiguously"):
-            optimize_retirement(gappy, ens, specs_for(200, 500), current=300)
+        ens = make_ensemble([-15.77, -15.5, -16.0], [5.45, 5.2, 5.7], last_cycle=300)
+        specs = specs_for(200, 500)
+
+        def without(i):
+            return NormalizedTrace("c", np.delete(trace.cycles, i), np.delete(trace.q, i), trace.q0_ah)
+
+        for gappy in (without(10), without(0)):  # cycle 11 missing; a trace that starts at cycle 2
+            with pytest.raises(DataError, match=r"c: measured cycles must cover 1..300 contiguously"):
+                optimize_retirement(gappy, ens, specs, current=300)
+        for current in (11, 401):  # inside the gap; past the last measured cycle
+            with pytest.raises(DataError, match=rf"c: no measurement at cycle {current}$"):
+                optimize_retirement(without(10), ens, specs, current=current)
+        got, want = (optimize_retirement(t, ens, specs, current=300) for t in (without(320), trace))
+        assert np.array_equal(got.candidates, want.candidates) and np.array_equal(got.combined, want.combined)
+        assert all(np.array_equal(got.raw[n], want.raw[n]) for n in want.raw)
+        assert (got.optimal_cycle, got.optimal_utility) == (want.optimal_cycle, want.optimal_utility)
 
     def test_ah_saturated_retires_earliest(self):
         # throughput utility pinned at 1 for every candidate: optimum = current
